@@ -131,174 +131,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // --- adaptive phase-shift sweep (DESIGN.md §5.9) ------------------------
-  //
-  // One database lives through three workload phases whose best concurrency-
-  // control mode differs:
-  //   A read-heavy / uniform   — commute-rich; semantic testing pays off,
-  //   B hot-item write burst   — zipf 0.99 + 2 ms think; waiter convoys on
-  //                              the hot item's shard favor kPrudent bypass,
-  //   C uniform default mix    — back to the balanced §2.3 mix.
-  // Four configs replay the same phase sequence: three statically pinned
-  // modes (ProtocolOptions::adaptive.pin_mode) and the live controller.
-  // The adaptive row must track the best static per phase and beat the
-  // worst static overall — that inversion is what
-  // scripts/check_bench_regression.py gates on.
-  std::printf("== Adaptive phase-shift (A read-heavy -> B hot burst -> C "
-              "uniform; 4 threads) ==\n\n");
-  {
-    const int pthreads = 4;
-    auto phase_opts = [&wopts](char phase) {
-      orderentry::WorkloadOptions o = wopts;  // same load/seed as above
-      o.think_micros = 1000;
-      switch (phase) {
-        case 'A':  // read-heavy, uniform access
-          o.zipf_theta = 0.0;
-          o.pct_t1 = 2;
-          o.pct_t2 = 2;
-          o.pct_t3 = 18;
-          o.pct_t4 = 18;
-          o.pct_new_order = 0;  // remainder: 60% T5
-          break;
-        case 'B':  // hot-item write burst
-          o.zipf_theta = 0.99;
-          o.pct_t1 = 40;
-          o.pct_t2 = 40;
-          o.pct_t3 = 5;
-          o.pct_t4 = 5;
-          o.pct_new_order = 10;
-          o.think_micros = 2000;
-          break;
-        default:  // 'C': the default balanced mix, uniform
-          o.zipf_theta = 0.0;
-          break;
-      }
-      return o;
-    };
-
-    struct PsConfig {
-      const char* name;
-      ProtocolOptions opts;
-    };
-    std::vector<PsConfig> configs;
-    {
-      PsConfig c{"semantic", ProtocolOptions{}};
-      configs.push_back(c);
-    }
-    {
-      PsConfig c{"2pl", ProtocolOptions{}};
-      c.opts.adaptive_mode = true;
-      c.opts.adaptive.pin_mode = 1;  // CcMode::k2PL everywhere
-      configs.push_back(c);
-    }
-    {
-      PsConfig c{"prudent", ProtocolOptions{}};
-      c.opts.adaptive_mode = true;
-      c.opts.adaptive.pin_mode = 2;  // CcMode::kPrudent everywhere
-      configs.push_back(c);
-    }
-    {
-      PsConfig c{"adaptive", ProtocolOptions{}};
-      c.opts.adaptive_mode = true;
-      c.opts.adaptive.pin_mode = -1;
-      c.opts.adaptive.background_thread = true;
-      c.opts.adaptive.sample_interval_micros = 20000;
-      configs.push_back(c);
-    }
-
-    PrintHeader("config-phase");
-    for (const PsConfig& cfg : configs) {
-      DatabaseOptions dopts;
-      dopts.protocol = cfg.opts;
-      dopts.protocol.debug_lock_checks = false;
-      dopts.record_history = false;
-      Database db(dopts);
-      orderentry::InstallOptions iopts;
-      iopts.parameter_refined_item_matrix = true;
-      auto types = orderentry::Install(&db, iopts).ValueOrDie();
-
-      orderentry::OrderEntryWorkload wa(&db, types, phase_opts('A'));
-      orderentry::OrderEntryWorkload wb(&db, types, phase_opts('B'));
-      orderentry::OrderEntryWorkload wc(&db, types, phase_opts('C'));
-      if (!wa.Setup().ok()) return 1;
-      wb.AdoptData(wa);
-      wc.AdoptData(wa);
-
-      uint64_t committed = 0;
-      double seconds = 0;
-      uint64_t failed = 0;
-      LockStats prev = db.locks()->stats();
-      orderentry::OrderEntryWorkload* phases[] = {&wa, &wb, &wc};
-      const char* phase_names[] = {"phaseA", "phaseB", "phaseC"};
-      for (int p = 0; p < 3; ++p) {
-        auto result = phases[p]->Run(pthreads, txns);
-        const LockStats now = db.locks()->stats();
-        RunSummary s;
-        s.protocol = cfg.name;
-        s.threads = pthreads;
-        s.tps = result.throughput_tps;
-        s.committed = result.committed;
-        s.failed = result.failed;
-        s.blocked = now.blocked_acquires - prev.blocked_acquires;
-        s.root_waits = now.root_waits - prev.root_waits;
-        s.case1 = now.case1_grants - prev.case1_grants;
-        s.case2 = now.case2_waits - prev.case2_waits;
-        s.commute = now.commute_grants - prev.commute_grants;
-        s.deadlocks = now.deadlocks - prev.deadlocks;
-        s.timeouts = now.timeouts - prev.timeouts;
-        s.retries = db.txns()->stats().retries;
-        // Wait percentiles are lifetime histograms, not deltas.
-        s.wait_p50_us = now.wait_micros.p50;
-        s.wait_p95_us = now.wait_micros.p95;
-        s.wait_p99_us = now.wait_micros.p99;
-        prev = now;
-        committed += result.committed;
-        failed += result.failed;
-        seconds += result.seconds;
-        char label[64];
-        std::snprintf(label, sizeof(label), "phaseshift-%s-%s", cfg.name,
-                      phase_names[p]);
-        PrintRow(s, label);
-        json.Add(s, label);
-      }
-      RunSummary overall;
-      overall.protocol = cfg.name;
-      overall.threads = pthreads;
-      overall.committed = committed;
-      overall.failed = failed;
-      overall.tps = seconds > 0 ? static_cast<double>(committed) / seconds : 0;
-      const LockStats fin = db.locks()->stats();
-      overall.blocked = fin.blocked_acquires;
-      overall.root_waits = fin.root_waits;
-      overall.case1 = fin.case1_grants;
-      overall.case2 = fin.case2_waits;
-      overall.commute = fin.commute_grants;
-      overall.deadlocks = fin.deadlocks;
-      overall.timeouts = fin.timeouts;
-      overall.retries = db.txns()->stats().retries;
-      overall.wait_p50_us = fin.wait_micros.p50;
-      overall.wait_p95_us = fin.wait_micros.p95;
-      overall.wait_p99_us = fin.wait_micros.p99;
-      char label[64];
-      std::snprintf(label, sizeof(label), "phaseshift-%s-overall", cfg.name);
-      PrintRow(overall, label);
-      json.Add(overall, label);
-      if (db.adaptive() != nullptr) {
-        const AdaptiveStats as = db.adaptive()->stats();
-        std::printf("  [%s: epochs %llu, flips %llu, drain_stalls %llu, "
-                    "hot_shards %llu, modes s/2pl/pr %llu/%llu/%llu]\n",
-                    cfg.name, static_cast<unsigned long long>(as.epochs),
-                    static_cast<unsigned long long>(as.flips),
-                    static_cast<unsigned long long>(as.drain_stalls),
-                    static_cast<unsigned long long>(as.hot_shards),
-                    static_cast<unsigned long long>(as.types_semantic),
-                    static_cast<unsigned long long>(as.types_2pl),
-                    static_cast<unsigned long long>(as.types_prudent));
-      }
-      std::printf("\n");
-    }
-  }
-
   std::printf(
       "Expected shape (paper §1.1): with growing concurrency the semantic\n"
       "protocol with parameter-aware commutativity (semantic-param) keeps\n"

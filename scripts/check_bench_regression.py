@@ -75,38 +75,6 @@ def group_commit_inversion(data):
     return None
 
 
-def adaptive_inversion(data):
-    """Gating invariant over a bench_throughput result: in the phase-shift
-    sweep the live adaptive controller must not end up slower overall than
-    the WORST statically pinned mode. The controller's entire job is to
-    avoid being stuck in the wrong mode as the workload shifts; losing to
-    the worst pin means mode selection (or the flip machinery's overhead)
-    is actively harmful, no matter how the absolute numbers moved. A small
-    tolerance absorbs runner noise — the recorded trajectory shows the
-    adaptive row beating the worst static by well over 1.3x. Returns an
-    error string or None."""
-    if not isinstance(data, list):
-        return None
-    tps = {}
-    for row in data:
-        if isinstance(row, dict):
-            label = row.get("label", "")
-            if label.startswith("phaseshift-") and label.endswith("-overall"):
-                tps[label] = float(row.get("throughput_tps", 0.0))
-    adaptive = tps.get("phaseshift-adaptive-overall")
-    statics = [tps[k] for k in ("phaseshift-semantic-overall",
-                                "phaseshift-2pl-overall",
-                                "phaseshift-prudent-overall") if k in tps]
-    if adaptive is None or not statics or min(statics) <= 0:
-        return None
-    worst = min(statics)
-    if adaptive < worst * 0.95:
-        return (f"phase-shift adaptive overall ({adaptive:.0f} tps) is slower "
-                f"than the worst static pin ({worst:.0f} tps) — the adaptive "
-                "controller is losing to the configuration it exists to avoid")
-    return None
-
-
 def row_metrics(row):
     """Yield (metric_name, value, higher_is_better) for a RunSummary row."""
     for key, value in row.items():
@@ -196,9 +164,6 @@ def main():
     inversion = group_commit_inversion(new_data)
     if inversion is not None:
         print(f"ERROR: {inversion}")
-    adp_inversion = adaptive_inversion(new_data)
-    if adp_inversion is not None:
-        print(f"ERROR: {adp_inversion}")
 
     warned = 0
     for key, metrics in sorted(new.items()):
@@ -245,15 +210,13 @@ def main():
                 )
                 drifted += 1
 
-    if (warned == 0 and drifted == 0 and not missing and inversion is None
-            and adp_inversion is None):
+    if warned == 0 and drifted == 0 and not missing and inversion is None:
         print(f"check_bench_regression: {args.new} OK vs {args.old} "
               f"(no metric >{args.threshold * 100.0:.0f}% worse, "
               "no verdict drift, all baseline rows present)")
     # Timing and behavior mix never gate; lost coverage and the
-    # group-commit / adaptive ordering inversions do.
-    return 1 if (missing or inversion is not None
-                 or adp_inversion is not None) else 0
+    # group-commit ordering inversion do.
+    return 1 if (missing or inversion is not None) else 0
 
 
 if __name__ == "__main__":

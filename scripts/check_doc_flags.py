@@ -3,18 +3,24 @@
 
 Usage: check_doc_flags.py [--header src/cc/lock_manager.h] [--doc README.md]
                           [--design DESIGN.md] [--experiments EXPERIMENTS.md]
+                          [--tuning TUNING.md]
 
 Parses the `struct ProtocolOptions { ... }` block out of the header with a
 small brace-tracking scanner (no compiler needed), then checks:
 
   1. every field appears in the README flag reference AND in DESIGN.md AND
      in EXPERIMENTS.md (a new knob cannot land without user docs, a design
-     rationale, and a recorded experiment or explicit mention), and
-  2. every `ProtocolOptions::x` mention in any of the three docs names a
-     real field (renaming or deleting a knob cannot leave stale prose
-     behind).
+     rationale, and a recorded experiment or explicit mention),
+  2. every row of the README flag-reference table names a real field,
+  3. every `ProtocolOptions::x` mention in any of the four docs names a
+     real field, and
+  4. every backticked snake_case identifier in TUNING.md (knobs, stats
+     fields, bench columns) occurs in the sources under src/, bench/,
+     tools/ or scripts/.
 
-Exits non-zero listing each violation — this runs as the CI doc-lint step.
+Checks 2-4 mean renaming or deleting a knob cannot leave stale prose
+behind. Exits non-zero listing each violation; this runs as the CI
+doc-lint step and as the `doc_flags` ctest.
 """
 
 import argparse
@@ -58,6 +64,43 @@ def protocol_options_fields(header_text):
     return list(dict.fromkeys(fields))  # dedupe #if-branched fields
 
 
+def flag_table_rows(readme_text):
+    """(lineno, name) of each row in the README's flag-reference table."""
+    rows = []
+    in_table_section = False
+    for lineno, line in enumerate(readme_text.splitlines(), 1):
+        if line.startswith("## "):
+            in_table_section = line.startswith("## Flag reference")
+            continue
+        m = re.match(r"\|\s*`([^`]+)`\s*\|", line)
+        if in_table_section and m:
+            rows.append((lineno, m.group(1)))
+    return rows
+
+
+def source_identifiers(repo):
+    """Every identifier-shaped token in the program sources and scripts."""
+    tokens = set()
+    for top in ("src", "bench", "tools", "scripts"):
+        for path in (repo / top).rglob("*"):
+            if path.suffix in (".h", ".cc", ".cpp", ".py", ".sh"):
+                tokens.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
+                                         path.read_text()))
+    return tokens
+
+
+def unknown_identifiers(doc_text, known):
+    """Backticked snake_case identifiers absent from `known`, with lines."""
+    unknown = []
+    for lineno, line in enumerate(doc_text.splitlines(), 1):
+        for span in re.findall(r"`([^`]+)`", line):
+            for name in re.findall(r"\b[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b",
+                                   span):
+                if name not in known:
+                    unknown.append((lineno, name))
+    return unknown
+
+
 def stale_mentions(doc_text, fields):
     """`ProtocolOptions::x` mentions that name no real field, with lines."""
     known = set(fields)
@@ -77,6 +120,7 @@ def main():
     ap.add_argument("--doc", default=str(repo / "README.md"))
     ap.add_argument("--design", default=str(repo / "DESIGN.md"))
     ap.add_argument("--experiments", default=str(repo / "EXPERIMENTS.md"))
+    ap.add_argument("--tuning", default=str(repo / "TUNING.md"))
     args = ap.parse_args()
 
     header_text = pathlib.Path(args.header).read_text()
@@ -91,15 +135,18 @@ def main():
     }
 
     failed = False
-    for doc in (args.doc, args.design, args.experiments):
+    rows = []
+    for doc in (args.doc, args.design, args.experiments, args.tuning):
         path = pathlib.Path(doc)
         if not path.is_file():
             print(f"doc-lint: required doc {doc} is missing")
             failed = True
             continue
         text = path.read_text()
-        missing = [f for f in fields
-                   if not re.search(rf"\b{re.escape(f)}\b", text)]
+        missing = []
+        if doc in hints:  # TUNING.md covers only the knobs worth tuning
+            missing = [f for f in fields
+                       if not re.search(rf"\b{re.escape(f)}\b", text)]
         if missing:
             print(f"doc-lint: {doc} is missing these ProtocolOptions "
                   "fields:")
@@ -114,10 +161,31 @@ def main():
                   "(renamed or removed knob? update the prose)")
         failed = failed or bool(stale)
 
+        if doc == args.doc:
+            rows = flag_table_rows(text)
+            if not rows:
+                print(f"doc-lint: {doc} has no flag-reference table rows "
+                      "(expected under a '## Flag reference' heading)")
+                failed = True
+            for lineno, name in rows:
+                if name not in fields:
+                    print(f"doc-lint: {doc}:{lineno}: flag-reference row "
+                          f"`{name}` names no ProtocolOptions field "
+                          "(renamed or removed knob? delete or fix the row)")
+                    failed = True
+        if doc == args.tuning:
+            known = source_identifiers(repo) | set(fields)
+            for lineno, name in unknown_identifiers(text, known):
+                print(f"doc-lint: {doc}:{lineno}: `{name}` occurs nowhere "
+                      "in src/, bench/, tools/ or scripts/ (renamed or "
+                      "removed knob or counter? update the prose)")
+                failed = True
+
     if failed:
         return 1
     print(f"doc-lint: all {len(fields)} ProtocolOptions fields documented "
-          f"in README, DESIGN, and EXPERIMENTS; all mentions resolve")
+          f"in README, DESIGN, and EXPERIMENTS; all {len(rows)} README flag "
+          "rows, ProtocolOptions:: mentions and TUNING identifiers resolve")
     return 0
 
 

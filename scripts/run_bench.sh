@@ -13,18 +13,29 @@
 #                      the CI perf-smoke leg.
 #
 # Every emitted file is validated as JSON — a bench that writes a malformed
-# or empty file fails the script. If a previous copy of a BENCH file exists
-# (the committed perf trajectory), scripts/check_bench_regression.py compares
-# new against old: >15% timing regressions WARN only (perf is tracked, not
-# gated, here), but a baseline row missing from the new run FAILS the script
-# — bench coverage must never shrink silently.
+# or empty file fails the script — and scripts/check_bench_rows.py fails it
+# when a required ablation row is missing. If a previous copy of a BENCH
+# file exists (the committed perf trajectory),
+# scripts/check_bench_regression.py compares new against old: >15% timing
+# regressions WARN only (perf is tracked, not gated, here), but a baseline
+# row missing from the new run FAILS the script — bench coverage must never
+# shrink silently.
 #
 # The build directory must be a Release build (cmake -DCMAKE_BUILD_TYPE=Release)
-# or the numbers are meaningless.
+# or the numbers are meaningless; the script refuses any other build type.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${BUILD_DIR:-$repo_root/build-rel}}"
+
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "$build_dir/CMakeCache.txt" 2>/dev/null || true)"
+if [[ "$build_type" != "Release" ]]; then
+  echo "error: $build_dir is not a Release build" \
+       "(CMAKE_BUILD_TYPE='$build_type'); configure it with" >&2
+  echo "  cmake -B $build_dir -S $repo_root -DCMAKE_BUILD_TYPE=Release" >&2
+  exit 1
+fi
 
 for bench in bench_throughput bench_contention bench_recovery bench_lock_manager; do
   if [[ ! -x "$build_dir/bench/$bench" ]]; then
@@ -67,68 +78,8 @@ done
 # files track protocol behavior, not just throughput.
 "$build_dir/bench/bench_throughput" --stats --json="$repo_root/BENCH_throughput.json"
 validate_json "$repo_root/BENCH_throughput.json"
-# The read-mix sections (MVCC snapshot reads vs locking readers) must be
-# present — their rows are the mvcc_reads ablation record.
-if ! python3 -c '
-import json, sys
-with open(sys.argv[1]) as f:
-    labels = {row.get("label", "") for row in json.load(f)}
-required = ["readmix90-t16", "readmix90-mvcc-t16",
-            "readmix50-t16", "readmix50-mvcc-t16"]
-missing = [l for l in required if l not in labels]
-if missing:
-    sys.exit("missing read-mix rows: " + ", ".join(missing))
-' "$repo_root/BENCH_throughput.json"; then
-  echo "error: BENCH_throughput.json lacks the read-mix (mvcc) rows" >&2
-  exit 1
-fi
-# The key-range ablation rows (keyrange_locks on, same workload as the
-# semantic-param sweep) are that flag's ablation record.
-if ! python3 -c '
-import json, sys
-with open(sys.argv[1]) as f:
-    labels = {row.get("label", "") for row in json.load(f)}
-required = ["orderentry-zipf0.8-keyrange-t1", "orderentry-zipf0.8-keyrange-t16"]
-missing = [l for l in required if l not in labels]
-if missing:
-    sys.exit("missing key-range ablation rows: " + ", ".join(missing))
-' "$repo_root/BENCH_throughput.json"; then
-  echo "error: BENCH_throughput.json lacks the keyrange ablation rows" >&2
-  exit 1
-fi
-# The adaptive phase-shift rows (static pins vs live controller over the
-# A/B/C phase sequence) are the adaptive_mode ablation record.
-if ! python3 -c '
-import json, sys
-with open(sys.argv[1]) as f:
-    labels = {row.get("label", "") for row in json.load(f)}
-required = ["phaseshift-%s-%s" % (cfg, ph)
-            for cfg in ("semantic", "2pl", "prudent", "adaptive")
-            for ph in ("phaseA", "phaseB", "phaseC", "overall")]
-missing = [l for l in required if l not in labels]
-if missing:
-    sys.exit("missing phase-shift rows: " + ", ".join(missing))
-' "$repo_root/BENCH_throughput.json"; then
-  echo "error: BENCH_throughput.json lacks the adaptive phase-shift rows" >&2
-  exit 1
-fi
 "$build_dir/bench/bench_contention" --stats --json="$repo_root/BENCH_contention.json"
 validate_json "$repo_root/BENCH_contention.json"
-# The hot-set sweep rows (one item, insert-share sweep, keyrange off/on per
-# mix) must be present in both variants or the ablation record is broken.
-if ! python3 -c '
-import json, sys
-with open(sys.argv[1]) as f:
-    labels = {row.get("label", "") for row in json.load(f)}
-required = ["hotset-insert%d-t8" % p for p in (10, 30, 50)]
-required += ["hotset-insert%d-keyrange-t8" % p for p in (10, 30, 50)]
-missing = [l for l in required if l not in labels]
-if missing:
-    sys.exit("missing hot-set rows: " + ", ".join(missing))
-' "$repo_root/BENCH_contention.json"; then
-  echo "error: BENCH_contention.json lacks the hot-set (keyrange) rows" >&2
-  exit 1
-fi
 "$build_dir/bench/bench_recovery" --stats --json="$repo_root/BENCH_recovery.json"
 validate_json "$repo_root/BENCH_recovery.json"
 "$build_dir/bench/bench_lock_manager" \
@@ -136,6 +87,7 @@ validate_json "$repo_root/BENCH_recovery.json"
   --benchmark_out="$repo_root/BENCH_lockpath.json" \
   --benchmark_out_format=json
 validate_json "$repo_root/BENCH_lockpath.json"
+python3 "$repo_root/scripts/check_bench_rows.py" "$repo_root"
 
 echo
 for f in "${bench_files[@]}"; do

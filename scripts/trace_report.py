@@ -43,10 +43,6 @@ VERDICTS = {
 FLAG_BLOCKER_RETAINED = 1
 FLAG_KEYRANGE = 2
 
-# CcMode (src/cc/lock_manager.h) — the adaptive controller's per-type modes;
-# mode-flip events carry the new mode in `value` and the old in `verdict`.
-MODES = {0: "semantic", 1: "2pl", 2: "prudent"}
-
 # Sentinel bounds the runtime uses for half-open key intervals: kAll hulls to
 # [INT64_MIN, INT64_MAX] and kLowerBound hulls to [k, INT64_MAX].
 KEY_LO_NEG_INF = -(2**63)
@@ -90,7 +86,6 @@ def summarize(events):
         "txn_retries": 0,
         "wal_flushes": 0,
         "snapshot_reads": 0,
-        "mode_flips": collections.Counter(),
         "wait_us": [],
         "roots": set(),
     }
@@ -131,10 +126,6 @@ def summarize(events):
             s["wal_flushes"] += 1
         elif kind == "snapshot-read":
             s["snapshot_reads"] += 1
-        elif kind == "mode-flip":
-            old = MODES.get(e.get("verdict", 0), "?")
-            new = MODES.get(e.get("value", 0), "?")
-            s["mode_flips"][f"{old}->{new}"] += 1
     return s
 
 
@@ -163,12 +154,6 @@ def print_summary(s):
     if s["snapshot_reads"]:
         print(f"snapshot reads   : {s['snapshot_reads']} "
               "(MVCC reads that took no semantic lock)")
-    if s["mode_flips"]:
-        total = sum(s["mode_flips"].values())
-        print(f"mode flips       : {total} "
-              "(adaptive controller changed a type's cc mode)")
-        for transition, n in s["mode_flips"].most_common():
-            print(f"  {transition:<22} {n}")
     if s["wait_us"]:
         waits = sorted(s["wait_us"])
 
@@ -209,11 +194,6 @@ def event_line(e):
         parts.append(f"batch={e.get('other', 0)} device={e.get('value', 0)}us")
     if kind == "snapshot-read":
         parts.append(f"S={e.get('other', 0)} saw=ts{e.get('value', 0)}")
-    if kind == "mode-flip":
-        old = MODES.get(e.get("verdict", 0), "?")
-        new = MODES.get(e.get("value", 0), "?")
-        parts.append(f"slot={e.get('other', 0)} {old}->{new} "
-                     f"epoch={e.get('txn', 0)}")
     return "  " + " ".join(parts)
 
 

@@ -22,15 +22,6 @@ Status OrderEntryWorkload::Setup() {
   return Status::OK();
 }
 
-void OrderEntryWorkload::AdoptData(const OrderEntryWorkload& other) {
-  data_ = other.data_;
-  max_order_.clear();
-  for (const auto& m : other.max_order_) {
-    max_order_.push_back(std::make_unique<std::atomic<int64_t>>(
-        m->load(std::memory_order_relaxed)));
-  }
-}
-
 std::unique_ptr<WorkerState> OrderEntryWorkload::MakeWorkerState(
     int worker_index) const {
   return std::make_unique<WorkerState>(

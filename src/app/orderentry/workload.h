@@ -81,13 +81,6 @@ class OrderEntryWorkload {
   /// Load the initial data (outside transactions).
   Status Setup();
 
-  /// Adopt another workload's loaded data and per-item order-number
-  /// high-water marks instead of Load()ing fresh objects. The phase-shift
-  /// benchmarks run several WorkloadOptions phases against ONE database —
-  /// only the first phase's workload calls Setup(); later phases adopt so
-  /// their order-number picks stay valid against the grown order sets.
-  void AdoptData(const OrderEntryWorkload& other);
-
   /// Run one randomly chosen transaction. Returns OK on commit; system
   /// aborts beyond the retry budget and application errors surface here.
   Status RunOne(WorkerState* ws);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "cc/adaptive_controller.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -67,7 +66,7 @@ std::string LockStats::ToString() const {
       buf, sizeof(buf),
       "acquires=%llu blocked=%llu commute=%llu case1=%llu case2=%llu "
       "root_waits=%llu retained=%llu deadlocks=%llu timeouts=%llu "
-      "fast_path=%llu coalesced=%llu memo=%llu keyrange=%llu prudent=%llu",
+      "fast_path=%llu coalesced=%llu memo=%llu keyrange=%llu",
       static_cast<unsigned long long>(acquires),
       static_cast<unsigned long long>(blocked_acquires),
       static_cast<unsigned long long>(commute_grants),
@@ -80,8 +79,7 @@ std::string LockStats::ToString() const {
       static_cast<unsigned long long>(fast_path_hits),
       static_cast<unsigned long long>(coalesced_grants),
       static_cast<unsigned long long>(memo_hits),
-      static_cast<unsigned long long>(keyrange_skips),
-      static_cast<unsigned long long>(prudent_bypasses));
+      static_cast<unsigned long long>(keyrange_skips));
   return buf;
 }
 
@@ -101,7 +99,6 @@ std::string LockStats::ToJson() const {
   w.Field("coalesced_grants", coalesced_grants);
   w.Field("memo_hits", memo_hits);
   w.Field("keyrange_skips", keyrange_skips);
-  w.Field("prudent_bypasses", prudent_bypasses);
   w.Field("granted_entries", granted_entries);
   w.Field("released_entries", released_entries);
   w.Field("wakeups", wakeups);
@@ -154,7 +151,6 @@ LockStats LockManager::stats() const {
   s.coalesced_grants = counters_.Sum(kCtrCoalescedGrants);
   s.memo_hits = counters_.Sum(kCtrMemoHits);
   s.keyrange_skips = counters_.Sum(kCtrKeyrangeSkips);
-  s.prudent_bypasses = counters_.Sum(kCtrPrudentBypasses);
   s.granted_entries = counters_.Sum(kCtrGrantedEntries);
   s.released_entries = counters_.Sum(kCtrReleasedEntries);
   s.wakeups = counters_.Sum(kCtrWakeups);
@@ -178,7 +174,6 @@ LockStats LockManager::shard_stats(uint32_t shard) const {
   s.coalesced_grants = counters_.StripeValue(shard, kCtrCoalescedGrants);
   s.memo_hits = counters_.StripeValue(shard, kCtrMemoHits);
   s.keyrange_skips = counters_.StripeValue(shard, kCtrKeyrangeSkips);
-  s.prudent_bypasses = counters_.StripeValue(shard, kCtrPrudentBypasses);
   s.granted_entries = counters_.StripeValue(shard, kCtrGrantedEntries);
   s.released_entries = counters_.StripeValue(shard, kCtrReleasedEntries);
   s.wakeups = counters_.StripeValue(shard, kCtrWakeups);
@@ -247,7 +242,6 @@ void LockManager::NotifyShards(const ShardSet& s) {
 // --- test-conflict -----------------------------------------------------
 
 SubTxn* LockManager::TestConflictSemantic(const LockEntry& h, SubTxn* r,
-                                          CcMode mode,
                                           ConflictOutcome* why) const {
   SubTxn* holder = h.acquirer;
   // "if h and r ... belong to the same top-level transaction then return nil"
@@ -256,14 +250,6 @@ SubTxn* LockManager::TestConflictSemantic(const LockEntry& h, SubTxn* r,
   if (holder->SameRootAs(r)) {
     *why = ConflictOutcome::kSameTxn;
     return nullptr;
-  }
-  // Adaptive k2PL mode (DESIGN.md §5.9): the matrix is forced to
-  // conflict-only and the ancestor walk skipped — every foreign pair is a
-  // root wait. Strictly more conservative than the semantic test below, so
-  // a 2PL-mode requester can never be granted where semantics would block.
-  if (mode == CcMode::k2PL) {
-    *why = ConflictOutcome::kRootWait;
-    return holder->root();
   }
   // "if h and r commute ... return nil". Both act on the same object, so the
   // object type is shared and the compatibility spec of that type applies.
@@ -351,11 +337,10 @@ SubTxn* LockManager::TestConflictFlat(const LockEntry& h, SubTxn* r,
 }
 
 SubTxn* LockManager::TestConflict(const LockEntry& h, SubTxn* r,
-                                  bool r_is_write, CcMode mode,
-                                  ConflictOutcome* why) const {
+                                  bool r_is_write, ConflictOutcome* why) const {
   switch (options_.protocol) {
     case Protocol::kSemanticONT:
-      return TestConflictSemantic(h, r, mode, why);
+      return TestConflictSemantic(h, r, why);
     case Protocol::kClosedNested:
       return TestConflictClosed(h, r, r_is_write, why);
     case Protocol::kFlat2PL:
@@ -367,19 +352,11 @@ SubTxn* LockManager::TestConflict(const LockEntry& h, SubTxn* r,
 
 void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
                                   const LockTarget& target, uint64_t my_seq,
-                                  SubTxn* t, bool is_write, CcMode mode,
-                                  uint32_t stripe, bool count_stats,
-                                  bool memoize, ScanResult* out) {
+                                  SubTxn* t, bool is_write, uint32_t stripe,
+                                  bool count_stats, bool memoize,
+                                  ScanResult* out) {
   (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
   out->Clear();
-  // Prudent mode (DESIGN.md §5.9): bounded FCFS relaxation — this scan may
-  // jump over up to prudent_bypass_limit earlier *waiting* entries instead
-  // of queueing behind them. Granted entries are always fully tested, so
-  // serializability is untouched; only queue fairness is relaxed, which is
-  // what breaks waiter convoys on hot shards.
-  int bypass_budget = (mode == CcMode::kPrudent)
-                          ? options_.adaptive.prudent_bypass_limit
-                          : 0;
   for (const LockEntry& e : q.entries) {
     if (e.acquirer == t) continue;
     // Test against held locks and earlier-queued requests (FCFS, paper
@@ -388,12 +365,6 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
     // behind foreign waiters (which wait for THIS transaction's completion)
     // would deadlock the rollback itself.
     if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
-    if (!e.granted && bypass_budget > 0) {
-      --bypass_budget;
-      counters_.Inc(stripe, kCtrPrudentBypasses);
-      if (controller_ != nullptr) controller_->RecordBypass(t->type());
-      continue;
-    }
     // Key-range precheck (keyrange_locks): provably disjoint key intervals
     // commute by key disjointness — whatever the coarse per-object matrix
     // would say — so the pair is nil without a conflict test. This is the
@@ -401,17 +372,11 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
     // only annotated from an (exact or upper-bound) method footprint, never
     // for size-observing methods. Same-tree entries fall through to the
     // ordinary kSameTxn verdict so the commute counters keep meaning
-    // "foreign pair commuted" with the flag on or off. Disabled in k2PL
-    // mode, whose contract is conflict-only (no semantic relief of any
-    // kind).
-    if (mode != CcMode::k2PL && KeyIntervalsDisjoint(e, target) &&
-        !e.acquirer->SameRootAs(t)) {
+    // "foreign pair commuted" with the flag on or off.
+    if (KeyIntervalsDisjoint(e, target) && !e.acquirer->SameRootAs(t)) {
       if (count_stats) {
         counters_.Inc(stripe, kCtrKeyrangeSkips);
         counters_.Inc(stripe, kCtrCommuteGrants);
-        if (controller_ != nullptr) {
-          controller_->RecordVerdict(t->type(), ConflictOutcome::kCommute);
-        }
         if (out->grant_relief != ConflictOutcome::kCase1Grant) {
           out->grant_relief = ConflictOutcome::kCommute;
         }
@@ -431,19 +396,8 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
       }
     }
     ConflictOutcome why = ConflictOutcome::kNoLock;
-    SubTxn* b = TestConflict(e, t, is_write, mode, &why);
+    SubTxn* b = TestConflict(e, t, is_write, &why);
     if (b == nullptr && memoize) out->nil_verdicts.emplace(&e, e.seq);
-    // Shadow sampling (DESIGN.md §5.9): a k2PL-mode conflict still asks,
-    // once per first scan, whether the pair would have commuted directly —
-    // the controller's only promote-back signal while semantic testing is
-    // switched off. One matrix probe, no ancestor walk.
-    if (mode == CcMode::k2PL && count_stats && controller_ != nullptr &&
-        why == ConflictOutcome::kRootWait) {
-      controller_->RecordShadow(
-          t->type(),
-          compat_->Commute(e.acquirer->type(), e.method_id,
-                           e.acquirer->args(), t->method_id(), t->args()));
-    }
     // Do NOT drop blockers that completed between the conflict test and
     // here: a just-aborted subtransaction must not look like a grant. The
     // wait loop re-derives the verdict from fresh state on every wake-up.
@@ -481,7 +435,6 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
           default:
             break;
         }
-        if (controller_ != nullptr) controller_->RecordVerdict(t->type(), why);
       }
     } else if (count_stats && (why == ConflictOutcome::kCase1Grant ||
                                why == ConflictOutcome::kCommute)) {
@@ -494,7 +447,6 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
           out->grant_relief = ConflictOutcome::kCommute;
         }
       }
-      if (controller_ != nullptr) controller_->RecordVerdict(t->type(), why);
     }
   }
 }
@@ -573,7 +525,7 @@ void LockManager::CheckGrantInvariants(const LockShard& shard,
                                        const LockQueue& q,
                                        const LockTarget& target,
                                        uint64_t my_seq, SubTxn* t,
-                                       bool is_write, CcMode mode) {
+                                       bool is_write) {
   (void)shard;
   // Independently re-derive the grant decision: every other granted (or
   // earlier-queued, FCFS) entry must pass test-conflict against `t`. A
@@ -581,16 +533,11 @@ void LockManager::CheckGrantInvariants(const LockShard& shard,
   for (const LockEntry& e : q.entries) {
     if (e.acquirer == t) continue;
     if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
-    // Mirror the scan's mode dispatch: prudent scans may bypass any earlier
-    // *waiting* entry (bounded FCFS relaxation), so waiting entries carry
-    // no grant obligation here; granted entries are checked as always.
-    if (!e.granted && mode == CcMode::kPrudent) continue;
     // Mirror the scan's key-range precheck: a disjoint-interval pair is nil
-    // by key disjointness even where the matrix conflicts (k2PL mode runs
-    // conflict-only and takes no key-range relief).
-    if (mode != CcMode::k2PL && KeyIntervalsDisjoint(e, target)) continue;
+    // by key disjointness even where the matrix conflicts.
+    if (KeyIntervalsDisjoint(e, target)) continue;
     ConflictOutcome why = ConflictOutcome::kNoLock;
-    SubTxn* b = TestConflict(e, t, is_write, mode, &why);
+    SubTxn* b = TestConflict(e, t, is_write, &why);
     if (b != nullptr) {
       inv_stats_.grant_violations.fetch_add(1, std::memory_order_relaxed);
       InvariantViolation(
@@ -923,18 +870,6 @@ void LockManager::AnnotateKeyInterval(SubTxn* t, LockTarget* target) const {
   }
 }
 
-CcMode LockManager::AcquireMode(SubTxn* t) const {
-  if (!SEMCC_PREDICT_FALSE(options_.adaptive_mode)) return CcMode::kSemantic;
-  if (options_.protocol != Protocol::kSemanticONT) return CcMode::kSemantic;
-  // The mode comes from the transaction's pinned snapshot (set by
-  // TxnManager before the first action), never from the controller's live
-  // assignment — the pin is what guarantees one mode per type for the whole
-  // transaction across controller flips.
-  const ModeSnapshot* snap = t->root()->mode_snapshot();
-  if (snap == nullptr) return CcMode::kSemantic;
-  return snap->ModeFor(t->type());
-}
-
 Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
                             bool is_write) {
   // Local annotated copy: the interval is derived per (method, args), not
@@ -942,24 +877,14 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   // the same (space, key) the caller named.
   LockTarget target = requested;
   AnnotateKeyInterval(t, &target);
-  // Latched once per Acquire: every conflict test, the debug checker, and
-  // the fast-path gates below see the same mode.
-  const CcMode mode = AcquireMode(t);
   const bool tracing = trace::Active(options_.trace);
   bool cache_miss = false;
   uint32_t idx = 0;
-  // The grant cache, like coalescing below, publishes and reuses verdicts
-  // derived under full semantic testing — only pure kSemantic requests may
-  // touch it (k2PL derives stricter verdicts, kPrudent non-FCFS ones).
-  if (mode == CcMode::kSemantic &&
-      TryFastPath(t, target, is_write, &cache_miss, &idx)) {
+  if (TryFastPath(t, target, is_write, &cache_miss, &idx)) {
     // Counter attribution is two relaxed fetch_adds on this shard's own
     // stripe; the shard index comes from the slot, not a fresh hash.
     counters_.Inc(idx, kCtrAcquires);
     counters_.Inc(idx, kCtrFastPathHits);
-    if (controller_ != nullptr) {
-      controller_->RecordAcquire(t->type(), /*blocked=*/false);
-    }
     t->set_grant_seq(NextSeq());
     if (tracing) {
       EmitLockEvent(trace::EventKind::kFastPathGrant, t, target, idx,
@@ -989,14 +914,10 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   // and it doubles as the grant-cache publication condition.
   ScanResult scan;
   const uint64_t peek_seq = shard.next_entry_seq;
-  CollectBlockers(shard, q, target, peek_seq, t, is_write, mode, shard_idx,
+  CollectBlockers(shard, q, target, peek_seq, t, is_write, shard_idx,
                   /*count_stats=*/true, /*memoize=*/false, &scan);
-  if (controller_ != nullptr) {
-    controller_->RecordAcquire(t->type(), !scan.blockers.empty());
-  }
   if (scan.blockers.empty()) {
-    const bool semantic_fast =
-        SemanticFastPathApplies(t) && mode == CcMode::kSemantic;
+    const bool semantic_fast = SemanticFastPathApplies(t);
     LockEntry* entry = nullptr;
     if (semantic_fast && options_.coalesce_entries) {
       entry = FindCoalescible(shard, q, target, t, is_write);
@@ -1022,7 +943,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
     }
     if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
       inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
-      CheckGrantInvariants(shard, q, target, peek_seq, t, is_write, mode);
+      CheckGrantInvariants(shard, q, target, peek_seq, t, is_write);
       CheckQueueInvariants(shard, q);
       MutexLock g(graph_mu_);
       RecordLockOrder(t, target);
@@ -1060,7 +981,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
       return Status::Aborted("transaction abort requested while locking " +
                              target.ToString());
     }
-    CollectBlockers(shard, q, target, my_seq, t, is_write, mode, shard_idx,
+    CollectBlockers(shard, q, target, my_seq, t, is_write, shard_idx,
                     /*count_stats=*/false, options_.memoize_conflicts, &scan);
     if (scan.blockers.empty()) {
       my_it->granted = true;
@@ -1068,7 +989,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
       t->set_grant_seq(NextSeq());
       if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
         inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
-        CheckGrantInvariants(shard, q, target, my_seq, t, is_write, mode);
+        CheckGrantInvariants(shard, q, target, my_seq, t, is_write);
         CheckQueueInvariants(shard, q);
         MutexLock g(graph_mu_);
         RecordLockOrder(t, target);

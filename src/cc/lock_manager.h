@@ -95,63 +95,6 @@ enum class LockGranularity : int { kObject = 0, kRecord = 1, kPage = 2 };
 
 const char* GranularityName(LockGranularity g);
 
-/// \brief Per-object-type concurrency mode chosen by the adaptive controller
-/// (cc/adaptive_controller.h, DESIGN.md §5.9). Only meaningful under
-/// Protocol::kSemanticONT with ProtocolOptions::adaptive_mode on; every
-/// transaction latches one mode per acquired type for its whole lifetime
-/// (the pinned ModeSnapshot), so no verdict ever mixes modes mid-flight.
-enum class CcMode : uint8_t {
-  /// The paper's full semantic protocol (commutativity + ancestor walk).
-  kSemantic = 0,
-  /// Commutativity matrix forced to conflict-only and the ancestor walk
-  /// skipped: every foreign conflict is a root wait. Strictly more
-  /// conservative than kSemantic, hence always sound; cheaper per test
-  /// where commutativity never wins anyway.
-  k2PL = 1,
-  /// Semantic testing plus bounded precedence relaxation on hot queues:
-  /// a requester may bypass up to AdaptiveOptions::prudent_bypass_limit
-  /// earlier *waiting* (never granted) entries instead of queueing behind
-  /// them — FCFS fairness is relaxed, serializability is not (granted
-  /// locks are always fully tested).
-  kPrudent = 2,
-};
-
-const char* CcModeName(CcMode m);
-
-/// \brief Thresholds and pacing for the adaptive mode controller
-/// (cc/adaptive_controller.h; read only when ProtocolOptions::adaptive_mode
-/// is on). Shares are fractions in [0, 1] over one sample window; the
-/// promote/demote pairs are deliberately separated (hysteresis) so a type
-/// sitting on a threshold does not oscillate.
-struct AdaptiveOptions {
-  /// Background sampling period (only with background_thread).
-  int64_t sample_interval_micros = 50000;
-  /// Epochs a type must spend in its current mode before it may flip again.
-  int min_dwell_epochs = 2;
-  /// Minimum conflict-test samples in a window before any decision is made.
-  uint64_t min_conflict_samples = 32;
-  /// kSemantic -> k2PL when the commute+case1 share of conflict tests falls
-  /// below this (the ancestor walk is not paying for itself).
-  double demote_commute_share = 0.05;
-  /// k2PL -> kSemantic when the *shadow-sampled* commute share rises above
-  /// this. Must exceed demote_commute_share (hysteresis band).
-  double promote_commute_share = 0.20;
-  /// kSemantic -> kPrudent when the blocked share of acquires exceeds this
-  /// while commutativity still wins (convoy on a hot shard).
-  double hot_blocked_share = 0.50;
-  /// kPrudent -> kSemantic when the blocked share falls below this.
-  double cool_blocked_share = 0.20;
-  /// Earlier waiting entries one prudent-mode scan may bypass.
-  int prudent_bypass_limit = 4;
-  /// Run a sampling thread inside the controller (benches / production).
-  /// Off: the owner drives epochs explicitly via SampleNow() (tests).
-  bool background_thread = false;
-  /// Pin every type to this CcMode value (0/1/2) and never flip — the
-  /// static-configuration ablation the phase-shift bench compares against.
-  /// -1 (default) adapts normally.
-  int pin_mode = -1;
-};
-
 struct ProtocolOptions {
   Protocol protocol = Protocol::kSemanticONT;
   LockGranularity granularity = LockGranularity::kObject;
@@ -250,18 +193,6 @@ struct ProtocolOptions {
   /// and the scan degenerates to the matrix path). Default off for
   /// ablation.
   bool keyrange_locks = false;
-
-  /// Adaptive per-type mode selection (DESIGN.md §5.9): attach an
-  /// AdaptiveController that samples the live verdict breakdown and wait
-  /// histograms and switches each object type between full semantic
-  /// locking, plain 2PL (conflict-only matrix, no ancestor walk), and the
-  /// prudent contention-tolerant mode. kSemanticONT only. Off (default):
-  /// no controller exists, no transaction pins a mode snapshot, and every
-  /// code path is bit-for-bit the static semantic protocol.
-  bool adaptive_mode = false;
-
-  /// Controller thresholds/pacing; read only when adaptive_mode is on.
-  AdaptiveOptions adaptive;
 };
 
 // LockTarget and LockTargetHash live in cc/lock_target.h (included above);
@@ -350,10 +281,6 @@ struct LockStats {
   /// (ProtocolOptions::keyrange_locks) — pairs that never reached the
   /// compatibility matrix because their key intervals cannot overlap.
   uint64_t keyrange_skips = 0;
-  /// Earlier waiting entries bypassed by prudent-mode scans
-  /// (ProtocolOptions::adaptive_mode, CcMode::kPrudent) — bounded FCFS
-  /// relaxations that let a hot-shard requester jump a waiter convoy.
-  uint64_t prudent_bypasses = 0;
   /// Queue entries that became granted / granted entries removed. At a
   /// quiescent point with every transaction finished these are equal;
   /// mid-run their difference is the number of granted (active + retained)
@@ -368,9 +295,6 @@ struct LockStats {
   std::string ToString() const;
   std::string ToJson() const;
 };
-
-class AdaptiveController;  // cc/adaptive_controller.h
-struct ModeSnapshot;       // cc/adaptive_controller.h
 
 /// \brief The lock manager. One instance per database.
 class LockManager {
@@ -428,16 +352,6 @@ class LockManager {
   /// empty here.
   LockStats shard_stats(uint32_t shard) const;
   const ProtocolOptions& options() const { return options_; }
-
-  /// Attach the adaptive mode controller (ProtocolOptions::adaptive_mode).
-  /// Must be called before any Acquire — Database wires it at construction,
-  /// which happens-before every worker thread. With a controller attached,
-  /// first-scan conflict verdicts are mirrored into its per-type counters
-  /// and each Acquire dispatches on the requester's pinned mode snapshot.
-  void SetAdaptiveController(AdaptiveController* controller) {
-    controller_ = controller;
-  }
-  AdaptiveController* adaptive_controller() const { return controller_; }
 
   /// Actual shard count after clamping (power of two in [1, kMaxShards]).
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -549,13 +463,10 @@ class LockManager {
   /// The paper's test-conflict(h, r): nil (nullptr) or the (sub)transaction
   /// whose completion r must wait for. Sets *why. Reads only SubTxn state
   /// (atomics) and the compatibility registry — no lock-manager mutex.
-  /// `mode` is the requester's latched CcMode (kSemantic unless adaptive);
-  /// it selects between the full semantic test and the conflict-only 2PL
-  /// short-circuit and is fixed for the whole Acquire.
   SubTxn* TestConflict(const LockEntry& h, SubTxn* r, bool r_is_write,
-                       CcMode mode, ConflictOutcome* why) const;
+                       ConflictOutcome* why) const;
 
-  SubTxn* TestConflictSemantic(const LockEntry& h, SubTxn* r, CcMode mode,
+  SubTxn* TestConflictSemantic(const LockEntry& h, SubTxn* r,
                                ConflictOutcome* why) const;
   SubTxn* TestConflictClosed(const LockEntry& h, SubTxn* r, bool r_is_write,
                              ConflictOutcome* why) const;
@@ -570,14 +481,11 @@ class LockManager {
   /// the wait loop's re-scans, never on the first scan of an Acquire that
   /// may well grant immediately.
   /// `target` carries the requester's key-interval annotation (if any) for
-  /// the keyrange_locks disjointness precheck. `mode` is the requester's
-  /// latched CcMode: k2PL additionally disables the keyrange precheck and
-  /// (with a controller attached) shadow-samples the semantic verdict;
-  /// kPrudent may bypass a bounded number of earlier waiting entries.
+  /// the keyrange_locks disjointness precheck.
   void CollectBlockers(const LockShard& shard, const LockQueue& q,
                        const LockTarget& target, uint64_t my_seq, SubTxn* t,
-                       bool is_write, CcMode mode, uint32_t stripe,
-                       bool count_stats, bool memoize, ScanResult* out)
+                       bool is_write, uint32_t stripe, bool count_stats,
+                       bool memoize, ScanResult* out)
       SEMCC_REQUIRES(shard.mu);
 
   /// Withdraw `t`'s queue entry and wake this shard (abandon paths of
@@ -677,11 +585,10 @@ class LockManager {
 
   /// Re-derive grant soundness for the entry `my_seq` of `t` that is about
   /// to be granted: every other granted/earlier entry must pass
-  /// test-conflict. Mirrors CollectBlockers' mode dispatch: under kPrudent
-  /// waiting entries are bypassable and therefore exempt here too.
+  /// test-conflict.
   void CheckGrantInvariants(const LockShard& shard, const LockQueue& q,
                             const LockTarget& target, uint64_t my_seq,
-                            SubTxn* t, bool is_write, CcMode mode)
+                            SubTxn* t, bool is_write)
       SEMCC_REQUIRES(shard.mu);
 
   /// Queue-local invariants: no waiting entry may belong to a completed
@@ -719,19 +626,8 @@ class LockManager {
                      ConflictOutcome verdict, SubTxn* blocker, uint64_t value,
                      uint8_t flags) const;
 
-  /// The CcMode this Acquire runs under: kSemantic unless adaptive_mode is
-  /// on AND the requester's root carries a pinned ModeSnapshot, in which
-  /// case the snapshot's per-type mode for t->type(). Latched once at the
-  /// top of Acquire — a transaction never changes mode mid-request.
-  CcMode AcquireMode(SubTxn* t) const;
-
   const ProtocolOptions options_;
   CompatibilityRegistry* const compat_;
-
-  /// Adaptive mode controller (null unless adaptive_mode; set once at
-  /// Database construction, before any worker thread exists — plain
-  /// pointer, published by the thread-creation happens-before edge).
-  AdaptiveController* controller_ = nullptr;
 
   /// Immutable after construction; shard state is guarded per shard.
   std::vector<std::unique_ptr<LockShard>> shards_;
@@ -762,7 +658,6 @@ class LockManager {
     kCtrCoalescedGrants,
     kCtrMemoHits,
     kCtrKeyrangeSkips,
-    kCtrPrudentBypasses,
     kCtrGrantedEntries,
     kCtrReleasedEntries,
     kCtrWakeups,

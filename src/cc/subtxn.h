@@ -23,7 +23,6 @@
 namespace semcc {
 
 class GrantCache;
-struct ModeSnapshot;
 
 using TxnId = uint64_t;
 
@@ -109,14 +108,6 @@ class SubTxn {
     return lock_shards_.load(std::memory_order_relaxed);
   }
 
-  /// Adaptive-mode snapshot pinned for this tree's lifetime (ROOT node
-  /// only; null when adaptive_mode is off). Set by TxnManager before the
-  /// root's first action, cleared after release — single-writer, and every
-  /// reader (Acquire on the tree's own thread) runs strictly between those
-  /// points, so a plain pointer suffices (cc/adaptive_controller.h).
-  const ModeSnapshot* mode_snapshot() const { return mode_snapshot_; }
-  void set_mode_snapshot(const ModeSnapshot* s) { mode_snapshot_ = s; }
-
   /// Per-tree grant cache (cc/grant_cache.h), maintained on the ROOT node.
   /// Accessed only by the tree's executing thread; see the threading note
   /// in grant_cache.h. Null until the lock manager first publishes a slot.
@@ -174,7 +165,6 @@ class SubTxn {
   std::atomic<bool> abort_requested_{false};
   std::atomic<uint64_t> lock_shards_{0};
   std::unique_ptr<GrantCache> grant_cache_;
-  const ModeSnapshot* mode_snapshot_ = nullptr;  // root only; owner thread
   bool compensation_ = false;
   uint64_t grant_seq_ = 0;
   uint64_t end_seq_ = 0;

@@ -42,12 +42,6 @@ Database::Database(DatabaseOptions options)
                                               &methods_, &history_,
                                               recovery_.get(),
                                               versioned_store_.get());
-  if (options_.protocol.adaptive_mode &&
-      options_.protocol.protocol == Protocol::kSemanticONT) {
-    adaptive_ = std::make_unique<AdaptiveController>(lock_manager_.get());
-    lock_manager_->SetAdaptiveController(adaptive_.get());
-    txn_manager_->SetAdaptiveController(adaptive_.get());
-  }
 }
 
 Database::~Database() = default;
@@ -58,7 +52,6 @@ std::string DatabaseStats::ToJson() const {
   w.FieldRaw("txns", txns.ToJson());
   if (wal_enabled) w.FieldRaw("wal", wal.ToJson());
   if (mvcc_enabled) w.FieldRaw("versions", versions.ToJson());
-  if (adaptive_enabled) w.FieldRaw("adaptive", adaptive.ToJson());
   return w.Close();
 }
 
@@ -73,10 +66,6 @@ DatabaseStats Database::Stats() const {
   if (versioned_store_ != nullptr) {
     s.mvcc_enabled = true;
     s.versions = versioned_store_->stats();
-  }
-  if (adaptive_ != nullptr) {
-    s.adaptive_enabled = true;
-    s.adaptive = adaptive_->stats();
   }
   return s;
 }

@@ -20,7 +20,6 @@
 #include <memory>
 #include <string>
 
-#include "cc/adaptive_controller.h"
 #include "cc/compatibility.h"
 #include "cc/lock_manager.h"
 #include "object/object_store.h"
@@ -65,8 +64,6 @@ struct DatabaseStats {
   WalStats wal;  ///< zeroes unless wal_enabled
   bool mvcc_enabled = false;
   VersionStats versions;  ///< zeroes unless mvcc_enabled
-  bool adaptive_enabled = false;
-  AdaptiveStats adaptive;  ///< zeroes unless adaptive_enabled
 
   /// One JSON object with "locks"/"txns" (and "wal"/"versions" when the
   /// corresponding subsystem is enabled) fields.
@@ -93,8 +90,6 @@ class Database {
   RecoveryManager* recovery() { return recovery_.get(); }
   /// Null unless options.protocol.mvcc_reads.
   VersionedObjectStore* versions() { return versioned_store_.get(); }
-  /// Null unless options.protocol.adaptive_mode (under kSemanticONT).
-  AdaptiveController* adaptive() { return adaptive_.get(); }
 
   const DatabaseOptions& options() const { return options_; }
 
@@ -169,9 +164,6 @@ class Database {
   std::unique_ptr<VersionedObjectStore> versioned_store_;
   std::unique_ptr<LockManager> lock_manager_;
   std::unique_ptr<TxnManager> txn_manager_;
-  /// Declared after the managers it is attached to, so it is destroyed
-  /// first (stopping its sampler thread while they still exist).
-  std::unique_ptr<AdaptiveController> adaptive_;
   mutable Mutex roots_mu_;
   std::map<std::string, Oid> named_roots_ SEMCC_GUARDED_BY(roots_mu_);
 };

@@ -19,9 +19,8 @@
 //    throughput; useful for re-running a production-shaped contention
 //    pattern against different ProtocolOptions (tools/trace_replay).
 //
-// Only lock/transaction events drive the replay; WAL, checkpoint, and
-// mode-flip events are ignored (the latter re-emerge naturally if the
-// replaying lock manager itself runs adaptive_mode).
+// Only lock/transaction events drive the replay; WAL and checkpoint
+// events are ignored.
 #ifndef SEMCC_REPLAY_REPLAYER_H_
 #define SEMCC_REPLAY_REPLAYER_H_
 

@@ -153,6 +153,7 @@ Result<Value> TxnCtx::Invoke(Oid obj, const std::string& method, Args args) {
     inverse = [this, def, obj, bound_args, bound_result]() {
       Status st = def->inverse(*this, obj, bound_args, bound_result);
       if (!st.ok()) {
+        ++compensation_failures_;
         SEMCC_LOG(Error) << "compensation of " << def->name
                          << " failed: " << st.ToString();
       }
@@ -232,6 +233,7 @@ Status TxnCtx::Put(Oid atomic, const Value& value) {
       [this, atomic, old_value]() {
         Status undo = Put(atomic, old_value);
         if (!undo.ok()) {
+          ++compensation_failures_;
           SEMCC_LOG(Error) << "leaf undo Put failed: " << undo.ToString();
         }
       },
@@ -274,6 +276,7 @@ Status TxnCtx::SetInsert(Oid set, const Value& key, Oid member) {
       [this, set, key]() {
         Status undo = SetRemove(set, key);
         if (!undo.ok()) {
+          ++compensation_failures_;
           SEMCC_LOG(Error) << "leaf undo SetRemove failed: " << undo.ToString();
         }
       },
@@ -310,6 +313,7 @@ Status TxnCtx::SetRemove(Oid set, const Value& key) {
       [this, set, key, saved_member]() {
         Status undo = SetInsert(set, key, saved_member);
         if (!undo.ok()) {
+          ++compensation_failures_;
           SEMCC_LOG(Error) << "leaf undo SetInsert failed: " << undo.ToString();
         }
       },

@@ -127,6 +127,9 @@ class TxnCtx {
   /// Called by the transaction manager on abort; must run on the
   /// transaction's own thread.
   void Rollback();
+  /// Compensating actions that returned an error during Rollback. Each is
+  /// logged and skipped, so each leaves one update of this tree undone.
+  uint64_t compensation_failures() const { return compensation_failures_; }
 
  private:
   /// Begin an action: node + lock. Returns nullptr result status on failure.
@@ -153,6 +156,7 @@ class TxnCtx {
   VersionedObjectStore* const versions_;
   SubTxn* current_;
   bool in_compensation_ = false;
+  uint64_t compensation_failures_ = 0;
   std::set<Oid> written_;
 };
 

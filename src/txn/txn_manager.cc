@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <thread>
 
-#include "cc/adaptive_controller.h"
 #include "object/schema.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -34,15 +33,16 @@ void EmitTxnEvent(trace::EventKind kind, TxnId root_id,
 }  // namespace
 
 std::string TxnStats::ToString() const {
-  char buf[192];
-  std::snprintf(
-      buf, sizeof(buf),
-      "begins=%llu commits=%llu aborts=%llu retries=%llu app_errors=%llu",
-      static_cast<unsigned long long>(begins),
-      static_cast<unsigned long long>(commits),
-      static_cast<unsigned long long>(aborts),
-      static_cast<unsigned long long>(retries),
-      static_cast<unsigned long long>(app_errors));
+  char buf[224];
+  std::snprintf(buf, sizeof(buf),
+                "begins=%llu commits=%llu aborts=%llu retries=%llu "
+                "app_errors=%llu compensation_failures=%llu",
+                static_cast<unsigned long long>(begins),
+                static_cast<unsigned long long>(commits),
+                static_cast<unsigned long long>(aborts),
+                static_cast<unsigned long long>(retries),
+                static_cast<unsigned long long>(app_errors),
+                static_cast<unsigned long long>(compensation_failures));
   return buf;
 }
 
@@ -53,6 +53,7 @@ std::string TxnStats::ToJson() const {
   w.Field("aborts", aborts);
   w.Field("retries", retries);
   w.Field("app_errors", app_errors);
+  w.Field("compensation_failures", compensation_failures);
   return w.Close();
 }
 
@@ -74,6 +75,7 @@ TxnStats TxnManager::stats() const {
   s.aborts = counters_.Sum(kCtrAborts);
   s.retries = counters_.Sum(kCtrRetries);
   s.app_errors = counters_.Sum(kCtrAppErrors);
+  s.compensation_failures = counters_.Sum(kCtrCompensationFailures);
   return s;
 }
 
@@ -83,14 +85,6 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
   SubTxn* root = tree.root();
   if (priority != 0) root->set_priority(priority);
   root->set_grant_seq(lm_->NextSeq());
-  // Adaptive mode: pin the current mode snapshot for this whole attempt so
-  // every Acquire in the tree sees one consistent per-type mode assignment
-  // (the controller's flips wait for all pins to drain).
-  const ModeSnapshot* pinned = nullptr;
-  if (controller_ != nullptr) {
-    pinned = controller_->Pin();
-    root->set_mode_snapshot(pinned);
-  }
   TxnCtx ctx(store_, lm_, methods_, &tree, logger_, versions_);
 
   const size_t stripe = metrics::ThreadStripeSlot();
@@ -112,7 +106,6 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
     if (recorder_ != nullptr) recorder_->RecordTree(&tree, /*committed=*/true);
     if (logger_ != nullptr) logger_->OnTxnCommit(root->id());
     lm_->ReleaseTree(root);
-    if (pinned != nullptr) controller_->Unpin(pinned);
     counters_.Inc(stripe, kCtrCommits);
     if (tracing) {
       EmitTxnEvent(trace::EventKind::kTxnCommit, root->id(), name, 0);
@@ -124,6 +117,7 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
   // compensating actions run under the same protocol, as subtransactions of
   // this same transaction), then release everything.
   ctx.Rollback();
+  counters_.Inc(stripe, kCtrCompensationFailures, ctx.compensation_failures());
   root->set_state(TxnState::kAborted);
   lm_->OnSubTxnCompleted(root);
   // Aborted trees publish too (after compensation the live state is a
@@ -133,7 +127,6 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
   if (recorder_ != nullptr) recorder_->RecordTree(&tree, /*committed=*/false);
   if (logger_ != nullptr) logger_->OnTxnAbort(root->id());
   lm_->ReleaseTree(root);
-  if (pinned != nullptr) controller_->Unpin(pinned);
   counters_.Inc(stripe, kCtrAborts);
   if (tracing) EmitTxnEvent(trace::EventKind::kTxnAbort, root->id(), name, 0);
   if (result.ok()) {

@@ -15,9 +15,6 @@
 
 namespace semcc {
 
-class AdaptiveController;
-struct ModeSnapshot;
-
 /// \brief Point-in-time snapshot of transaction statistics (plain data;
 /// returned by value from TxnManager::stats()).
 struct TxnStats {
@@ -26,6 +23,10 @@ struct TxnStats {
   uint64_t aborts = 0;
   uint64_t retries = 0;
   uint64_t app_errors = 0;
+  /// Compensating actions (inverses and leaf undos) that returned an error
+  /// during an abort's rollback. Each one is an update the abort failed to
+  /// undo; the abort itself still completes.
+  uint64_t compensation_failures = 0;
 
   std::string ToString() const;
   std::string ToJson() const;
@@ -71,12 +72,6 @@ class TxnManager {
 
   VersionedObjectStore* versions() const { return versions_; }
 
-  /// Attach the adaptive controller (ProtocolOptions::adaptive_mode). Every
-  /// locking transaction then pins the current mode snapshot onto its root
-  /// before its first action and unpins it after release — the controller's
-  /// drain barrier (cc/adaptive_controller.h). Must be set before any Run.
-  void SetAdaptiveController(AdaptiveController* c) { controller_ = c; }
-
   /// Monotonic lower-bound snapshot (exact at quiesce; see
   /// metrics::CounterBank).
   TxnStats stats() const;
@@ -89,6 +84,7 @@ class TxnManager {
     kCtrAborts,
     kCtrRetries,
     kCtrAppErrors,
+    kCtrCompensationFailures,
     kCtrCount,
   };
 
@@ -101,7 +97,6 @@ class TxnManager {
   HistoryRecorder* const recorder_;
   ActionLogger* const logger_;
   VersionedObjectStore* const versions_;
-  AdaptiveController* controller_ = nullptr;
   metrics::CounterBank counters_;
 };
 

@@ -161,7 +161,6 @@ const char* EventKindName(EventKind k) {
     case EventKind::kWalDegrade: return "wal-degrade";
     case EventKind::kSnapshotRead: return "snapshot-read";
     case EventKind::kWalCheckpoint: return "wal-checkpoint";
-    case EventKind::kModeFlip: return "mode-flip";
   }
   return "?";
 }

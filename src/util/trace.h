@@ -63,9 +63,6 @@ enum class EventKind : uint8_t {
                        ///< `value` = version ts observed
   kWalCheckpoint = 19, ///< log prefix truncated; `txn` = trunc LSN,
                        ///< `other` = records dropped, `value` = bytes freed
-  kModeFlip = 20,      ///< adaptive controller flipped a type slot's mode;
-                       ///< `txn` = epoch, `other` = type slot,
-                       ///< `value` = new CcMode, `verdict` = old CcMode
 };
 
 const char* EventKindName(EventKind k);

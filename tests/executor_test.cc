@@ -169,6 +169,30 @@ TEST_F(ExecutorTest, AbortDuringCompensationIsSurvivable) {
   // afterwards (reverse order) and found it again.
   Oid o1 = FindOrder(&db, item, 1).ValueOrDie();
   EXPECT_EQ(ReadStatusRaw(&db, o1).ValueOrDie(), 0);
+  EXPECT_EQ(db.Stats().txns.compensation_failures, 0u);
+}
+
+TEST_F(ExecutorTest, FailedCompensationIsCountedAndAbortStillCompletes) {
+  ASSERT_TRUE(db.RegisterMethod(
+                    {types.item, "Irreversible", false,
+                     [](TxnCtx&, Oid, const Args&) -> Result<Value> {
+                       return Value(int64_t{1});
+                     },
+                     [](TxnCtx&, Oid, const Args&, const Value&) {
+                       return Status::Internal("inverse refuses");
+                     }})
+                  .ok());
+  auto r = db.RunTransaction("t", [&](TxnCtx& ctx) -> Result<Value> {
+    SEMCC_ASSIGN_OR_RETURN(Value v,
+                           ctx.Invoke(data.item_oids[0], "Irreversible", {}));
+    (void)v;
+    return Status::PreconditionFailed("now abort");
+  });
+  EXPECT_TRUE(r.status().IsPreconditionFailed());
+  const DatabaseStats stats = db.Stats();
+  EXPECT_EQ(stats.txns.compensation_failures, 1u);
+  EXPECT_EQ(stats.txns.aborts, 1u);
+  EXPECT_EQ(stats.locks.granted_entries, stats.locks.released_entries);
 }
 
 TEST_F(ExecutorTest, EmptyTransactionCommits) {

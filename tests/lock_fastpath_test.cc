@@ -533,12 +533,6 @@ std::vector<int> RunVerdictScript(CompatibilityRegistry* compat, int mask) {
   // resolve to commute, and overlapping/same-key pairs fall through to the
   // ordinary conflict test.
   o.keyrange_locks = (mask & 16) != 0;
-  // adaptive_mode with no AdaptiveController attached (and no pinned
-  // ModeSnapshot on any root): AcquireMode falls back to kSemantic for
-  // every request, so the flag alone must be verdict-invisible. This is the
-  // off-switch guarantee of DESIGN.md §5.9 — flipping the option on without
-  // wiring the controller changes nothing.
-  o.adaptive_mode = (mask & 32) != 0;
   LockManager lm(o, compat);
   std::vector<int> codes;
   auto rec = [&codes](const Status& st) {
@@ -632,9 +626,8 @@ TEST_F(LockFastPathTest, VerdictsIdenticalUnderEveryFlagCombination) {
                        static_cast<int>(StatusCode::kTimedOut)),
             0);
   EXPECT_EQ(baseline.back(), 0);  // no invariant violations
-  // Bits: 1 fast_path, 2 coalesce, 4 memoize, 8 pool, 16 keyrange,
-  // 32 adaptive_mode (controller-less — must be inert).
-  for (int mask = 1; mask < 64; ++mask) {
+  // Bits: 1 fast_path, 2 coalesce, 4 memoize, 8 pool, 16 keyrange.
+  for (int mask = 1; mask < 32; ++mask) {
     EXPECT_EQ(RunVerdictScript(&compat, mask), baseline)
         << "verdict divergence with flag mask " << mask;
   }

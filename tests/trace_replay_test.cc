@@ -78,12 +78,11 @@ TEST_F(TraceReplayTest, BinaryRoundtripPreservesEveryField) {
   trace::Emit(a);
 
   trace::Event b;
-  b.txn = 1;
-  b.kind = static_cast<uint8_t>(trace::EventKind::kModeFlip);
-  b.other = 5;       // type slot
-  b.value = 2;       // new mode (prudent)
-  b.verdict = 0;     // old mode (semantic)
-  b.set_method("prudent");
+  b.txn = 1;         // truncation LSN
+  b.kind = static_cast<uint8_t>(trace::EventKind::kWalCheckpoint);
+  b.other = 5;       // records dropped
+  b.value = 4096;    // bytes freed
+  b.set_method("checkpoint");
   trace::Emit(b);
 
   const std::vector<trace::Event> written = trace::SnapshotEvents();

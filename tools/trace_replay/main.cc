@@ -7,7 +7,7 @@
 //   # deterministic single-threaded verification (CI replay-smoke leg)
 //   ./trace_replay --trace=/tmp/run.trace --mode=verify --json
 //   # closed-loop re-execution under a different configuration
-//   ./trace_replay --trace=/tmp/run.trace --mode=bench --threads=8 --adaptive
+//   ./trace_replay --trace=/tmp/run.trace --mode=bench --threads=8 --keyrange
 //
 // The order-entry schema's compatibility matrices are installed before the
 // replay, so captures taken from the stock benches re-run through the same
@@ -29,7 +29,7 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --trace=<capture> [--mode=verify|bench] [--threads=N]\n"
-      "          [--protocol=semantic|nested|2pl] [--keyrange] [--adaptive]\n"
+      "          [--protocol=semantic|nested|2pl] [--keyrange]\n"
       "          [--timeout-ms=N] [--json]\n",
       argv0);
 }
@@ -79,9 +79,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--keyrange") == 0) {
       opts.protocol.keyrange_locks = true;
-    } else if (std::strcmp(argv[i], "--adaptive") == 0) {
-      opts.protocol.adaptive_mode = true;
-      opts.protocol.adaptive.background_thread = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else {
