@@ -52,9 +52,6 @@ RunSummary RunVariant(const char* name, ProtocolOptions opts,
   s.wait_p95_us = ls.wait_micros.p95;
   s.commute = ls.commute_grants;
   s.retained_hits = ls.retained_hits;
-  s.fast_path_hits = ls.fast_path_hits;
-  s.coalesced = ls.coalesced_grants;
-  s.memo_hits = ls.memo_hits;
   s.timeouts = ls.timeouts;
   return s;
 }
@@ -80,31 +77,11 @@ int main() {
   ProtocolOptions refined;
   PrintRow(RunVariant("refined-fig2", refined, true), "refined-fig2");
 
-  // §5.4 fast-path mechanisms (each verdict-preserving; the ablation prices
-  // them individually against `full`, which has all four on by default).
-  ProtocolOptions no_fast_path;
-  no_fast_path.lock_fast_path = false;
-  PrintRow(RunVariant("no-fast-path", no_fast_path, false), "no-fast-path");
-
-  ProtocolOptions no_coalesce;
-  no_coalesce.coalesce_entries = false;
-  PrintRow(RunVariant("no-coalesce", no_coalesce, false), "no-coalesce");
-
-  ProtocolOptions no_memoize;
-  no_memoize.memoize_conflicts = false;
-  PrintRow(RunVariant("no-memoize", no_memoize, false), "no-memoize");
-
-  ProtocolOptions no_pool;
-  no_pool.pool_entries = false;
-  PrintRow(RunVariant("no-pool", no_pool, false), "no-pool");
-
   std::printf(
       "\n(!) no-retain is the §3 protocol: fastest, but INCORRECT under\n"
       "bypassing (see bench_fig5_bypass) — shown only to price the retained\n"
       "locks. Expected shape: full >> no-anc-walk (Cases 1/2 remove most\n"
       "root-commit waits); refined-fig2 adds a further edge on same-item\n"
-      "ShipOrder/ShipOrder pairs addressing different orders. The no-* rows\n"
-      "below it each disable one §5.4 acquisition fast-path mechanism; all\n"
-      "four are verdict-preserving, so only throughput may move.\n");
+      "ShipOrder/ShipOrder pairs addressing different orders.\n");
   return 0;
 }

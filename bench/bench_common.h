@@ -82,12 +82,9 @@ struct RunSummary {
   uint64_t wait_p50_us = 0;
   uint64_t wait_p95_us = 0;
   uint64_t wait_p99_us = 0;
-  // Verdict breakdown / fast-path columns (emitted with --stats).
+  // Verdict breakdown columns (emitted with --stats).
   uint64_t commute = 0;
   uint64_t retained_hits = 0;
-  uint64_t fast_path_hits = 0;
-  uint64_t coalesced = 0;
-  uint64_t memo_hits = 0;
   uint64_t timeouts = 0;
   // Reader/writer split (readers = T3/T4/T5) and MVCC counters; the
   // versions_* fields stay zero unless the run had mvcc_reads on.
@@ -136,8 +133,8 @@ class JsonSink {
   ~JsonSink() { Flush(); }
 
   bool enabled() const { return !path_.empty(); }
-  /// `--stats` (or SEMCC_BENCH_STATS): append the verdict-breakdown and
-  /// fast-path columns to every row.
+  /// `--stats` (or SEMCC_BENCH_STATS): append the verdict-breakdown
+  /// columns to every row.
   bool stats() const { return stats_; }
 
   /// `label` distinguishes sweep points sharing a protocol name (e.g.
@@ -165,16 +162,12 @@ class JsonSink {
           buf + n, sizeof(buf) - n,
           ", \"commute\": %llu, \"case1\": %llu, \"case2\": %llu, "
           "\"root_waits\": %llu, \"retained_hits\": %llu, "
-          "\"fast_path_hits\": %llu, \"coalesced\": %llu, "
-          "\"memo_hits\": %llu, \"timeouts\": %llu",
+          "\"timeouts\": %llu",
           static_cast<unsigned long long>(s.commute),
           static_cast<unsigned long long>(s.case1),
           static_cast<unsigned long long>(s.case2),
           static_cast<unsigned long long>(s.root_waits),
           static_cast<unsigned long long>(s.retained_hits),
-          static_cast<unsigned long long>(s.fast_path_hits),
-          static_cast<unsigned long long>(s.coalesced),
-          static_cast<unsigned long long>(s.memo_hits),
           static_cast<unsigned long long>(s.timeouts));
       if (n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
         n += std::snprintf(
@@ -229,9 +222,8 @@ inline RunSummary RunWorkload(const ProtocolConfig& proto,
   dopts.protocol = proto.options;
   dopts.record_history = false;  // perf run: do not accumulate trees
   // Production flags regardless of build type: debug_lock_checks defaults
-  // on in Debug builds and force-disables the lock fast path, which is why
-  // an earlier perf trajectory showed fast_path_hits == 0 — perf rows must
-  // always come from the production configuration.
+  // on in Debug builds and re-derives every grant — perf rows must always
+  // come from the production configuration.
   dopts.protocol.debug_lock_checks = false;
   Database db(dopts);
   orderentry::InstallOptions iopts;
@@ -262,9 +254,6 @@ inline RunSummary RunWorkload(const ProtocolConfig& proto,
   s.wait_p99_us = ls.wait_micros.p99;
   s.commute = ls.commute_grants;
   s.retained_hits = ls.retained_hits;
-  s.fast_path_hits = ls.fast_path_hits;
-  s.coalesced = ls.coalesced_grants;
-  s.memo_hits = ls.memo_hits;
   s.timeouts = ls.timeouts;
   s.read_tps = result.read_tps;
   s.write_tps = result.write_tps;

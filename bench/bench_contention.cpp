@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       wopts.zipf_theta = theta;
       wopts.think_micros = 1000;
       wopts.seed = 2;
-      wopts.t5_double_scan = true;  // warm reacquire: drives the grant cache
+      wopts.t5_double_scan = true;  // same-tree repeat acquisitions
       RunSummary s = RunWorkload(proto, wopts, 8, txns);
       PrintRow(s);
       char label[32];
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       wopts.zipf_theta = 0.9;
       wopts.think_micros = 1000;
       wopts.seed = 3;
-      wopts.t5_double_scan = true;  // warm reacquire: drives the grant cache
+      wopts.t5_double_scan = true;  // same-tree repeat acquisitions
       RunSummary s = RunWorkload(proto, wopts, 8, txns);
       PrintRow(s);
       char label[32];

@@ -118,48 +118,6 @@ void BM_AcquireWithManyHolders(benchmark::State& state) {
 }
 BENCHMARK(BM_AcquireWithManyHolders)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
 
-/// §5.4 tentpole measurement: a transaction re-acquiring the same semantic
-/// lock class over and over (the QuantityOnHand read-modify-write shape)
-/// against a queue pre-filled with foreign commuting holders. With the fast
-/// path off (Arg 0) every re-acquire pays a full-queue commute scan plus a
-/// fresh LockEntry; with it on (Arg 1) warm re-acquires are a grant-cache
-/// hit — no shard mutex, no allocation. run_bench.sh records this pair in
-/// BENCH_lockpath.json; the ON/OFF real_time ratio is the tracked speedup.
-void BM_RepeatedReacquire(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
-  ProtocolOptions opts;
-  opts.debug_lock_checks = false;
-  opts.lock_fast_path = fast;
-  opts.coalesce_entries = fast;
-  opts.memoize_conflicts = fast;
-  opts.pool_entries = fast;
-  LockManager lm(opts, Registry());
-  // Foreign holders: 64 trees with granted commuting Mb locks on the target,
-  // so the slow path scans a realistic hot-object queue every time.
-  constexpr Oid kHot = 7;
-  std::vector<std::unique_ptr<TxnTree>> holders;
-  for (int i = 0; i < 64; ++i) {
-    holders.push_back(
-        std::make_unique<TxnTree>(TxnTree::NextId(), "H", kDatabaseOid, 0));
-    SubTxn* n = holders.back()->NewNode(holders.back()->root(), kHot, kT,
-                                        "Mb", {});
-    (void)lm.Acquire(n, LockTarget::ForObject(kHot), true);
-  }
-  constexpr int kReacquires = 256;
-  for (auto _ : state) {
-    TxnTree tree(TxnTree::NextId(), "R", kDatabaseOid, 0);
-    for (int i = 0; i < kReacquires; ++i) {
-      SubTxn* n = tree.NewNode(tree.root(), kHot, kT, "Mb", {});
-      benchmark::DoNotOptimize(lm.Acquire(n, LockTarget::ForObject(kHot), true));
-      n->set_state(TxnState::kCommitted);
-      lm.OnSubTxnCompleted(n);
-    }
-    lm.ReleaseTree(tree.root());
-  }
-  state.SetItemsProcessed(state.iterations() * kReacquires);
-}
-BENCHMARK(BM_RepeatedReacquire)->ArgNames({"fastpath"})->Arg(0)->Arg(1);
-
 void BM_CommuteStaticLookup(benchmark::State& state) {
   CompatibilityRegistry* reg = Registry();
   for (auto _ : state) {

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   wopts.zipf_theta = 0.8;
   wopts.think_micros = 2000;
   wopts.seed = 1;
-  wopts.t5_double_scan = true;  // warm reacquire: drives the grant cache
+  wopts.t5_double_scan = true;  // same-tree repeat acquisitions
 
   PrintHeader();
   for (const ProtocolConfig& proto : AllProtocols()) {

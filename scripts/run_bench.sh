@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Run the experiment benches and write the machine-readable perf-trajectory
-# files BENCH_throughput.json, BENCH_contention.json, BENCH_recovery.json
-# (logging overhead, restart cost, group commit, file-backed log), and
-# BENCH_lockpath.json (repeated-reacquire fast-path microbench) at the
+# files BENCH_throughput.json, BENCH_contention.json and BENCH_recovery.json
+# (logging overhead, restart cost, group commit, file-backed log) at the
 # repo root.
 #
 # Usage:
@@ -37,7 +36,7 @@ if [[ "$build_type" != "Release" ]]; then
   exit 1
 fi
 
-for bench in bench_throughput bench_contention bench_recovery bench_lock_manager; do
+for bench in bench_throughput bench_contention bench_recovery; do
   if [[ ! -x "$build_dir/bench/$bench" ]]; then
     echo "error: $build_dir/bench/$bench not found (build with" >&2
     echo "  cmake -B $build_dir -S $repo_root -DCMAKE_BUILD_TYPE=Release" >&2
@@ -68,13 +67,13 @@ if isinstance(data, list) and len(data) == 0:
 # Stash the previous trajectory (if any) for the regression comparison.
 stash_dir="$(mktemp -d)"
 trap 'rm -rf "$stash_dir"' EXIT
-bench_files=(BENCH_throughput.json BENCH_contention.json BENCH_recovery.json BENCH_lockpath.json)
+bench_files=(BENCH_throughput.json BENCH_contention.json BENCH_recovery.json)
 for f in "${bench_files[@]}"; do
   [[ -f "$repo_root/$f" ]] && cp "$repo_root/$f" "$stash_dir/$f"
 done
 
-# --stats adds the verdict-breakdown + fast-path columns to every row
-# (commute/case1/case2/root_waits/retained_hits/...), so the trajectory
+# --stats adds the verdict-breakdown columns to every row
+# (commute/case1/case2/root_waits/retained_hits/timeouts), so the trajectory
 # files track protocol behavior, not just throughput.
 "$build_dir/bench/bench_throughput" --stats --json="$repo_root/BENCH_throughput.json"
 validate_json "$repo_root/BENCH_throughput.json"
@@ -82,11 +81,6 @@ validate_json "$repo_root/BENCH_throughput.json"
 validate_json "$repo_root/BENCH_contention.json"
 "$build_dir/bench/bench_recovery" --stats --json="$repo_root/BENCH_recovery.json"
 validate_json "$repo_root/BENCH_recovery.json"
-"$build_dir/bench/bench_lock_manager" \
-  --benchmark_filter='BM_RepeatedReacquire' \
-  --benchmark_out="$repo_root/BENCH_lockpath.json" \
-  --benchmark_out_format=json
-validate_json "$repo_root/BENCH_lockpath.json"
 python3 "$repo_root/scripts/check_bench_rows.py" "$repo_root"
 
 echo

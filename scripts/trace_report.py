@@ -13,7 +13,7 @@ output path, e.g.:
 The report has two parts:
   * a verdict summary — how many lock decisions fell into each outcome
     (commute / Case 1 / Case 2 / root wait), how many blocks hit a
-    *retained* lock, fast-path hits, wait times;
+    *retained* lock, wait times;
   * a per-transaction decision timeline (--timeline, or automatically when
     the trace is small) — every grant/block/wakeup/commit in emit order,
     grouped under the top-level transaction that issued it.
@@ -49,6 +49,8 @@ KEY_LO_NEG_INF = -(2**63)
 KEY_HI_INF = 2**63 - 1
 
 # Event kinds that represent a lock decision on the acquire path.
+# "fastpath-grant" is no longer emitted; captures from older builds carry it
+# and it reads as a grant.
 DECISION_KINDS = {"grant", "fastpath-grant", "block"}
 
 
@@ -75,7 +77,6 @@ def summarize(events):
         "verdicts": collections.Counter(),
         "retained_hits": 0,
         "keyed_decisions": 0,
-        "fastpath_grants": 0,
         "blocks": 0,
         "grants_after_wait": 0,
         "deadlock_victims": 0,
@@ -103,8 +104,6 @@ def summarize(events):
                 s["verdicts"][verdict] += 1
                 if e.get("flags", 0) & FLAG_BLOCKER_RETAINED:
                     s["retained_hits"] += 1
-            elif kind == "fastpath-grant":
-                s["fastpath_grants"] += 1
             elif verdict != "no-lock":
                 s["verdicts"][verdict] += 1
         elif kind == "grant-after-wait":
@@ -133,7 +132,7 @@ def print_summary(s):
     print(f"events           : {s['events']} "
           f"({len(s['roots'])} top-level transactions)")
     print(f"lock decisions   : {s['decisions']} "
-          f"({s['fastpath_grants']} fast-path, {s['blocks']} blocked)")
+          f"({s['blocks']} blocked)")
     if s["verdicts"]:
         print("verdicts         :")
         for verdict, n in s["verdicts"].most_common():

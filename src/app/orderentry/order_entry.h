@@ -109,8 +109,8 @@ TxnManager::Body T4_CheckPayment(Oid item1, int64_t order1, Oid item2,
                                  int64_t order2, int64_t think_micros = 0);
 /// T5: compute the total payment for an item (TotalPayment on the item).
 /// `repeat` > 1 scans the item that many times in one transaction; the
-/// re-invocations reacquire locks the tree already holds, exercising the
-/// lock manager's per-tree grant cache (fast-path reacquire).
+/// re-invocations acquire again locks the tree already holds, so each adds
+/// one more entry to the item's lock queue.
 TxnManager::Body T5_TotalPayment(Oid item, int repeat = 1);
 /// T5 variant: one transaction that computes TotalPayment over *every* item.
 /// Under plain locking the scan read-locks the whole item set, so it

@@ -36,9 +36,9 @@ struct WorkloadOptions {
   /// locking path — same workload code either way, which is what makes the
   /// mvcc_reads flag a clean on/off ablation.
   bool snapshot_readers = false;
-  /// Make T5 scan the item twice. The second TotalPayment re-acquires a
-  /// lock the tree already holds, driving the lock manager's per-tree grant
-  /// cache (fast-path reacquire) under the locking protocols.
+  /// Make T5 scan the item twice. The second TotalPayment acquires again
+  /// the locks the tree already holds, so the workload keeps a same-tree
+  /// repeat acquisition in its mix under the locking protocols.
   bool t5_double_scan = false;
   /// Make T5 scan *all* items in one transaction (T5_TotalPaymentScan)
   /// instead of a single zipf-picked item. Under plain locking the scan

@@ -203,13 +203,14 @@ class CompatibilityRegistry {
   /// Can the commute verdict of ANY invocation pair involving an
   /// invocation (type, m, args) depend on that invocation's actual
   /// arguments? False means every `Commute(type, m, a, ...)` /
-  /// `Commute(type, ..., m, a)` result is independent of `a`, so the lock
-  /// manager may treat two invocations of m differing only in arguments as
-  /// the same conflict class (grant-cache hits, entry coalescing —
-  /// DESIGN.md §5.4). Conservative: true whenever a predicate entry
-  /// mentions m for this type (predicates may read either side's args), or
-  /// m is a key-addressed generic op (Insert/Remove/Select). O(1): reads a
-  /// bitvector precomputed at Recompile time.
+  /// `Commute(type, ..., m, a)` result is independent of `a`, i.e. two
+  /// invocations of m differing only in arguments are one conflict class.
+  /// No lock-manager path reads it; the matrix verifier checks it and the
+  /// golden verdict table prints it as the `args_sensitive` bits.
+  /// Conservative: true whenever a predicate entry mentions m for this type
+  /// (predicates may read either side's args), or m is a key-addressed
+  /// generic op (Insert/Remove/Select). O(1): reads a bitvector
+  /// precomputed at Recompile time.
   bool ArgsMatter(TypeId type, MethodId m) const;
 
   /// Built-in commutativity of generic operations by fixed id

@@ -12,7 +12,6 @@ std::string LockInvariantStats::ToString() const {
      << " retained_violations=" << retained_violations.load()
      << " leaked_locks=" << leaked_locks.load()
      << " wait_cycle_violations=" << wait_cycle_violations.load()
-     << " coalesce_violations=" << coalesce_violations.load()
      << " order_inversions=" << order_inversions.load();
   return os.str();
 }

@@ -52,10 +52,6 @@ struct LockInvariantStats {
   std::atomic<uint64_t> leaked_locks{0};
   /// Wait-for cycle with no deadlock victim chosen.
   std::atomic<uint64_t> wait_cycle_violations{0};
-  /// Malformed coalesced entry: a *waiting* entry carrying count != 1
-  /// (only granted entries may absorb repeated identical acquisitions), or
-  /// any entry with count == 0.
-  std::atomic<uint64_t> coalesce_violations{0};
   /// Lock-order graph cycles (potential deadlocks; diagnostic only).
   std::atomic<uint64_t> order_inversions{0};
 
@@ -63,8 +59,7 @@ struct LockInvariantStats {
   /// diagnostic order inversions).
   uint64_t protocol_violations() const {
     return grant_violations.load() + retained_violations.load() +
-           leaked_locks.load() + wait_cycle_violations.load() +
-           coalesce_violations.load();
+           leaked_locks.load() + wait_cycle_violations.load();
   }
 
   std::string ToString() const;

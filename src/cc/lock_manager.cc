@@ -66,7 +66,7 @@ std::string LockStats::ToString() const {
       buf, sizeof(buf),
       "acquires=%llu blocked=%llu commute=%llu case1=%llu case2=%llu "
       "root_waits=%llu retained=%llu deadlocks=%llu timeouts=%llu "
-      "fast_path=%llu coalesced=%llu memo=%llu keyrange=%llu",
+      "keyrange=%llu",
       static_cast<unsigned long long>(acquires),
       static_cast<unsigned long long>(blocked_acquires),
       static_cast<unsigned long long>(commute_grants),
@@ -76,9 +76,6 @@ std::string LockStats::ToString() const {
       static_cast<unsigned long long>(retained_hits),
       static_cast<unsigned long long>(deadlocks),
       static_cast<unsigned long long>(timeouts),
-      static_cast<unsigned long long>(fast_path_hits),
-      static_cast<unsigned long long>(coalesced_grants),
-      static_cast<unsigned long long>(memo_hits),
       static_cast<unsigned long long>(keyrange_skips));
   return buf;
 }
@@ -94,10 +91,6 @@ std::string LockStats::ToJson() const {
   w.Field("retained_hits", retained_hits);
   w.Field("deadlocks", deadlocks);
   w.Field("timeouts", timeouts);
-  w.Field("fast_path_hits", fast_path_hits);
-  w.Field("fast_path_misses", fast_path_misses);
-  w.Field("coalesced_grants", coalesced_grants);
-  w.Field("memo_hits", memo_hits);
   w.Field("keyrange_skips", keyrange_skips);
   w.Field("granted_entries", granted_entries);
   w.Field("released_entries", released_entries);
@@ -146,10 +139,6 @@ LockStats LockManager::stats() const {
   s.retained_hits = counters_.Sum(kCtrRetainedHits);
   s.deadlocks = counters_.Sum(kCtrDeadlocks);
   s.timeouts = counters_.Sum(kCtrTimeouts);
-  s.fast_path_hits = counters_.Sum(kCtrFastPathHits);
-  s.fast_path_misses = counters_.Sum(kCtrFastPathMisses);
-  s.coalesced_grants = counters_.Sum(kCtrCoalescedGrants);
-  s.memo_hits = counters_.Sum(kCtrMemoHits);
   s.keyrange_skips = counters_.Sum(kCtrKeyrangeSkips);
   s.granted_entries = counters_.Sum(kCtrGrantedEntries);
   s.released_entries = counters_.Sum(kCtrReleasedEntries);
@@ -169,10 +158,6 @@ LockStats LockManager::shard_stats(uint32_t shard) const {
   s.retained_hits = counters_.StripeValue(shard, kCtrRetainedHits);
   s.deadlocks = counters_.StripeValue(shard, kCtrDeadlocks);
   s.timeouts = counters_.StripeValue(shard, kCtrTimeouts);
-  s.fast_path_hits = counters_.StripeValue(shard, kCtrFastPathHits);
-  s.fast_path_misses = counters_.StripeValue(shard, kCtrFastPathMisses);
-  s.coalesced_grants = counters_.StripeValue(shard, kCtrCoalescedGrants);
-  s.memo_hits = counters_.StripeValue(shard, kCtrMemoHits);
   s.keyrange_skips = counters_.StripeValue(shard, kCtrKeyrangeSkips);
   s.granted_entries = counters_.StripeValue(shard, kCtrGrantedEntries);
   s.released_entries = counters_.StripeValue(shard, kCtrReleasedEntries);
@@ -353,8 +338,7 @@ SubTxn* LockManager::TestConflict(const LockEntry& h, SubTxn* r,
 void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
                                   const LockTarget& target, uint64_t my_seq,
                                   SubTxn* t, bool is_write, uint32_t stripe,
-                                  bool count_stats, bool memoize,
-                                  ScanResult* out) {
+                                  bool count_stats, ScanResult* out) {
   (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
   out->Clear();
   for (const LockEntry& e : q.entries) {
@@ -383,21 +367,8 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
       }
       continue;
     }
-    if (memoize) {
-      // Nil verdicts are stable for a fixed (entry, requester) — states
-      // only move active -> terminal — so one memoized across this
-      // Acquire's re-scans needs no re-derivation. The seq match guards
-      // against a pooled node recycled into a different entry. Non-nil
-      // verdicts are never memoized: blockers must be re-derived fresh.
-      auto mit = out->nil_verdicts.find(&e);
-      if (mit != out->nil_verdicts.end() && mit->second == e.seq) {
-        counters_.Inc(stripe, kCtrMemoHits);
-        continue;
-      }
-    }
     ConflictOutcome why = ConflictOutcome::kNoLock;
     SubTxn* b = TestConflict(e, t, is_write, &why);
-    if (b == nullptr && memoize) out->nil_verdicts.emplace(&e, e.seq);
     // Do NOT drop blockers that completed between the conflict test and
     // here: a just-aborted subtransaction must not look like a grant. The
     // wait loop re-derives the verdict from fresh state on every wake-up.
@@ -529,7 +500,7 @@ void LockManager::CheckGrantInvariants(const LockShard& shard,
   (void)shard;
   // Independently re-derive the grant decision: every other granted (or
   // earlier-queued, FCFS) entry must pass test-conflict against `t`. A
-  // non-nil verdict here means the fast path granted a conflicting request.
+  // non-nil verdict here means the scan granted a conflicting request.
   for (const LockEntry& e : q.entries) {
     if (e.acquirer == t) continue;
     if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
@@ -564,17 +535,6 @@ void LockManager::CheckQueueInvariants(const LockShard& shard,
       InvariantViolation("retained", "waiting entry owned by completed txn " +
                                          std::to_string(e.acquirer->id()) +
                                          " (" + e.acquirer->method() + ")");
-    }
-    // Coalescing discipline: only *granted* entries absorb repeated
-    // identical acquisitions; a waiting entry always represents exactly
-    // one request, and no live entry can have an empty count.
-    if (e.count == 0 || (!e.granted && e.count != 1)) {
-      inv_stats_.coalesce_violations.fetch_add(1, std::memory_order_relaxed);
-      InvariantViolation(
-          "coalesce", "entry " + e.acquirer->method() + " (txn " +
-                          std::to_string(e.acquirer->id()) + ") is " +
-                          (e.granted ? "granted" : "waiting") + " with count " +
-                          std::to_string(e.count));
     }
   }
 }
@@ -710,37 +670,17 @@ inline bool MaskHasShard(uint64_t mask, size_t idx) {
 std::list<LockEntry>::iterator LockManager::AppendEntry(
     LockShard& shard, LockQueue& q, const LockTarget& target, SubTxn* t,
     bool is_write, bool granted, uint64_t seq) {
-  const LockEntry entry{t,       t,   t->method_id(),
-                        is_write,     granted,
-                        /*count=*/1,  seq,
-                        target.key_lo, target.key_hi, target.has_interval};
-  if (options_.pool_entries && !shard.free_entries.empty()) {
-    q.entries.splice(q.entries.end(), shard.free_entries,
-                     shard.free_entries.begin());
-    q.entries.back() = entry;
-  } else {
-    q.entries.push_back(entry);
-  }
-  // Membership grew: any published grant-cache slot on this queue may now
-  // owe the new entry FCFS priority — invalidate them all.
-  q.epoch.fetch_add(1, std::memory_order_release);
+  (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
+  q.entries.push_back(LockEntry{t, t, t->method_id(), is_write, granted, seq,
+                                target.key_lo, target.key_hi,
+                                target.has_interval});
   return std::prev(q.entries.end());
-}
-
-void LockManager::RecycleEntry(LockShard& shard, LockQueue& q,
-                               std::list<LockEntry>::iterator it) {
-  if (options_.pool_entries &&
-      shard.free_entries.size() < kMaxPooledEntries) {
-    shard.free_entries.splice(shard.free_entries.begin(), q.entries, it);
-  } else {
-    q.entries.erase(it);
-  }
 }
 
 void LockManager::RemoveWaiter(LockShard& shard, const LockTarget& target,
                                LockQueue& q,
                                std::list<LockEntry>::iterator my_it) {
-  RecycleEntry(shard, q, my_it);
+  q.entries.erase(my_it);
   if (q.entries.empty()) shard.table.erase(target);
   // Our waiting entry may have been blocking later-queued requests (FCFS);
   // wake this shard so they re-scan.
@@ -750,109 +690,6 @@ void LockManager::RemoveWaiter(LockShard& shard, const LockTarget& target,
 void LockManager::EraseWaitRecord(SubTxn* t) {
   MutexLock g(graph_mu_);
   waits_.erase(t);
-}
-
-bool LockManager::TryFastPath(SubTxn* t, const LockTarget& target,
-                              bool is_write, bool* cache_miss,
-                              uint32_t* shard_idx) {
-  *cache_miss = false;
-  // Gates: mechanism enabled and meaningful for this protocol; never while
-  // the debug checker is on (every grant must pass through the mutex-path
-  // checks); never once the transaction is flagged for abort.
-  if (!options_.lock_fast_path ||
-      SEMCC_PREDICT_FALSE(options_.debug_lock_checks) ||
-      !SemanticFastPathApplies(t)) {
-    return false;
-  }
-  SubTxn* root = t->root();
-  if (root->abort_requested()) return false;
-  // Past the gates: the request is fast-path eligible, so a false return
-  // from here on is a grant-cache miss.
-  *cache_miss = true;
-  GrantCache* cache = root->grant_cache();
-  if (cache == nullptr) return false;
-  GrantCache::Slot* slot = cache->Find(target);
-  if (slot == nullptr) return false;
-  // The requester must be in the published verdict class: same manager,
-  // same parent (hence identical ancestor chains on both sides of any
-  // test-conflict), same method/mode/type, and matching args unless the
-  // method's verdicts are argument-insensitive.
-  if (slot->manager != this || slot->parent != t->parent() ||
-      slot->method_id != t->method_id() || slot->is_write != is_write ||
-      slot->type != t->type()) {
-    return false;
-  }
-  if (slot->args_matter && !(*slot->args == t->args())) return false;
-  // The published entry's key-interval annotation must match exactly: an
-  // args-insensitive method can still derive a different interval per
-  // invocation, and foreign scans judge this verdict class by the published
-  // entry's interval. Vacuously true while keyrange_locks is off.
-  if (slot->key_lo != target.key_lo || slot->key_hi != target.key_hi ||
-      slot->has_interval != target.has_interval) {
-    return false;
-  }
-  // Queue membership unchanged since publication? Appends bump the epoch
-  // under the shard mutex; an acquire load here orders the check after any
-  // append we could possibly owe FCFS priority to. A concurrent in-flight
-  // append linearizes this grant before that arrival — either order is
-  // legal, and the newcomer's own scan tests against the published entry,
-  // which answers for this whole verdict class.
-  if (slot->queue->epoch.load(std::memory_order_acquire) != slot->epoch) {
-    return false;
-  }
-  *shard_idx = slot->shard_idx;
-  return true;
-}
-
-LockEntry* LockManager::FindCoalescible(const LockShard& shard, LockQueue& q,
-                                        const LockTarget& target, SubTxn* t,
-                                        bool is_write) {
-  (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
-  for (LockEntry& e : q.entries) {
-    if (!e.granted || e.acquirer == t) continue;
-    SubTxn* a = e.acquirer;
-    if (a->root() != t->root() || a->parent() != t->parent()) continue;
-    if (e.method_id != t->method_id() || e.is_write != is_write ||
-        a->type() != t->type() || a->object() != t->object()) {
-      continue;
-    }
-    // Only an entry carrying the identical key-interval annotation may
-    // absorb this request: foreign scans derive disjointness verdicts from
-    // the entry's interval, which must answer for every coalesced
-    // acquisition. Vacuously true while keyrange_locks is off.
-    if (e.key_lo != target.key_lo || e.key_hi != target.key_hi ||
-        e.has_interval != target.has_interval) {
-      continue;
-    }
-    if (a->compensation()) continue;  // keep compensation entries distinct
-    if (compat_->ArgsMatter(t->type(), t->method_id()) &&
-        !(a->args() == t->args())) {
-      continue;
-    }
-    return &e;
-  }
-  return nullptr;
-}
-
-void LockManager::PublishSlot(LockQueue& q, const LockTarget& target,
-                              SubTxn* t, bool is_write,
-                              const LockEntry* entry, uint32_t shard_idx) {
-  GrantCache::Slot slot;
-  slot.manager = this;
-  slot.queue = &q;
-  slot.entry = entry;
-  slot.epoch = q.epoch.load(std::memory_order_relaxed);
-  slot.shard_idx = shard_idx;
-  slot.parent = t->parent();
-  slot.method_id = t->method_id();
-  slot.type = t->type();
-  slot.is_write = is_write;
-  slot.args_matter = compat_->ArgsMatter(t->type(), t->method_id());
-  slot.args = &t->args();
-  slot.key_lo = target.key_lo;
-  slot.key_hi = target.key_hi;
-  slot.has_interval = target.has_interval;
-  t->root()->EnsureGrantCache().Put(target, slot);
 }
 
 void LockManager::AnnotateKeyInterval(SubTxn* t, LockTarget* target) const {
@@ -878,27 +715,10 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   LockTarget target = requested;
   AnnotateKeyInterval(t, &target);
   const bool tracing = trace::Active(options_.trace);
-  bool cache_miss = false;
-  uint32_t idx = 0;
-  if (TryFastPath(t, target, is_write, &cache_miss, &idx)) {
-    // Counter attribution is two relaxed fetch_adds on this shard's own
-    // stripe; the shard index comes from the slot, not a fresh hash.
-    counters_.Inc(idx, kCtrAcquires);
-    counters_.Inc(idx, kCtrFastPathHits);
-    t->set_grant_seq(NextSeq());
-    if (tracing) {
-      EmitLockEvent(trace::EventKind::kFastPathGrant, t, target, idx,
-                    ConflictOutcome::kNoLock, nullptr, 0,
-                    is_write ? trace::kFlagIsWrite : 0);
-    }
-    return Status::OK();
-  }
   const uint32_t shard_idx = ShardIndexOf(target);
   counters_.Inc(shard_idx, kCtrAcquires);
-  if (cache_miss) counters_.Inc(shard_idx, kCtrFastPathMisses);
   if (t->root()->abort_requested() && !t->compensation()) {
-    // Same outcome the wait loop's top produced before the restructure —
-    // derived before any entry exists, so there is nothing to withdraw.
+    // Derived before any entry exists, so there is nothing to withdraw.
     return Status::Aborted("transaction abort requested while locking " +
                            target.ToString());
   }
@@ -910,31 +730,14 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   // Pre-append scan at the next (unconsumed) seq: no existing entry can
   // have a larger one, so "blockers empty" here means the WHOLE queue —
   // granted entries and waiters of any arrival order — tests nil against
-  // t. That is exactly the FCFS verdict the old append-first code derived,
-  // and it doubles as the grant-cache publication condition.
+  // t. That is the FCFS verdict of paper footnote 5.
   ScanResult scan;
-  const uint64_t peek_seq = shard.next_entry_seq;
-  CollectBlockers(shard, q, target, peek_seq, t, is_write, shard_idx,
-                  /*count_stats=*/true, /*memoize=*/false, &scan);
+  const uint64_t my_seq = shard.next_entry_seq++;
+  CollectBlockers(shard, q, target, my_seq, t, is_write, shard_idx,
+                  /*count_stats=*/true, &scan);
   if (scan.blockers.empty()) {
-    const bool semantic_fast = SemanticFastPathApplies(t);
-    LockEntry* entry = nullptr;
-    if (semantic_fast && options_.coalesce_entries) {
-      entry = FindCoalescible(shard, q, target, t, is_write);
-    }
-    if (entry != nullptr) {
-      // Identical grant already in the queue: absorb this acquisition into
-      // its count. No new entry, no seq consumed, no epoch bump — foreign
-      // scans keep deriving the exact verdicts they would have derived
-      // against a duplicate entry of the same class.
-      ++entry->count;
-      counters_.Inc(shard_idx, kCtrCoalescedGrants);
-    } else {
-      shard.next_entry_seq++;
-      entry = &*AppendEntry(shard, q, target, t, is_write, /*granted=*/true,
-                            peek_seq);
-      counters_.Inc(shard_idx, kCtrGrantedEntries);
-    }
+    AppendEntry(shard, q, target, t, is_write, /*granted=*/true, my_seq);
+    counters_.Inc(shard_idx, kCtrGrantedEntries);
     t->set_grant_seq(NextSeq());
     if (tracing) {
       EmitLockEvent(trace::EventKind::kGrant, t, target, shard_idx,
@@ -943,22 +746,17 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
     }
     if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
       inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
-      CheckGrantInvariants(shard, q, target, peek_seq, t, is_write);
+      CheckGrantInvariants(shard, q, target, my_seq, t, is_write);
       CheckQueueInvariants(shard, q);
       MutexLock g(graph_mu_);
       RecordLockOrder(t, target);
-    } else if (semantic_fast && options_.lock_fast_path &&
-               !t->root()->abort_requested()) {
-      PublishSlot(q, target, t, is_write, entry, shard_idx);
     }
     return Status::OK();
   }
 
-  // Blocked: enter the queue (consuming the peeked seq) and wait.
-  shard.next_entry_seq++;
+  // Blocked: enter the queue and wait.
   auto my_it =
-      AppendEntry(shard, q, target, t, is_write, /*granted=*/false, peek_seq);
-  const uint64_t my_seq = peek_seq;
+      AppendEntry(shard, q, target, t, is_write, /*granted=*/false, my_seq);
   if (tracing) {
     EmitLockEvent(
         trace::EventKind::kBlock, t, target, shard_idx, scan.block_why,
@@ -982,7 +780,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
                              target.ToString());
     }
     CollectBlockers(shard, q, target, my_seq, t, is_write, shard_idx,
-                    /*count_stats=*/false, options_.memoize_conflicts, &scan);
+                    /*count_stats=*/false, &scan);
     if (scan.blockers.empty()) {
       my_it->granted = true;
       counters_.Inc(shard_idx, kCtrGrantedEntries);
@@ -994,15 +792,17 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
         MutexLock g(graph_mu_);
         RecordLockOrder(t, target);
       }
-      // No grant-cache publication here: entries queued after ours may
-      // already be waiting (FCFS), so the whole-queue publication
-      // condition does not hold at my_seq. The next identical acquire
-      // re-derives and republishes from the pre-append scan above.
       uint64_t waited_us = 0;
       if (ever_blocked) {
         EraseWaitRecord(t);
         waited_us = wait_timer.ElapsedMicros();
         wait_micros_.Add(waited_us);
+        // A wait that lasted until its deadline counts as a timeout even
+        // when the re-scan there finds the blockers gone: `timeouts` counts
+        // waits that hit wait_timeout, not only those that return TimedOut.
+        if (std::chrono::steady_clock::now() >= deadline) {
+          counters_.Inc(shard_idx, kCtrTimeouts);
+        }
       }
       if (tracing) {
         EmitLockEvent(trace::EventKind::kGrantAfterWait, t, target, shard_idx,
@@ -1140,7 +940,7 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
             for (auto e = q.entries.begin(); e != q.entries.end();) {
               if (e->granted && t->IsAncestorOf(e->acquirer)) {
                 counters_.Inc(i, kCtrReleasedEntries);
-                RecycleEntry(shard, q, e++);
+                e = q.entries.erase(e);
                 changed = true;
               } else {
                 ++e;
@@ -1184,9 +984,9 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
     }
   }
   // Waits-for sets shrink on completion, not on lock release: wake exactly
-  // the shards hosting a waiter that waits for t. The retained-lock fast
-  // path (the common case) therefore touches no shard mutex at all before
-  // this point.
+  // the shards hosting a waiter that waits for t. The retained-lock case
+  // (the common one) therefore touches no shard mutex at all before this
+  // point.
   {
     MutexLock g(graph_mu_);
     for (const auto& [waiter, rec] : waits_) {
@@ -1203,11 +1003,6 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
 }
 
 void LockManager::ReleaseTree(SubTxn* root) {
-  // Invalidate the tree's published grants BEFORE any of its entries leave
-  // a queue, so no slot can outlive the entry it points at. (The cache is
-  // the tree's executing thread's data; by the time ReleaseTree is legal,
-  // no action of the tree can still be acquiring.)
-  root->ClearGrantCache();
   if (trace::Active(options_.trace)) {
     EmitLockEvent(trace::EventKind::kRelease, root, LockTarget{}, 0,
                   ConflictOutcome::kNoLock, nullptr, 0, 0);
@@ -1227,7 +1022,7 @@ void LockManager::ReleaseTree(SubTxn* root) {
       for (auto e = q.entries.begin(); e != q.entries.end();) {
         if (e->acquirer->root() == root) {
           if (e->granted) counters_.Inc(i, kCtrReleasedEntries);
-          RecycleEntry(shard, q, e++);
+          e = q.entries.erase(e);
           changed = true;
         } else {
           ++e;
@@ -1287,7 +1082,7 @@ std::vector<LockManager::LockInfo> LockManager::LocksOn(
   for (const LockEntry& e : it->second.entries) {
     out.push_back(LockInfo{e.acquirer->id(), e.acquirer->root()->id(),
                            e.acquirer->method(), e.granted,
-                           e.acquirer->completed(), e.count});
+                           e.acquirer->completed()});
   }
   return out;
 }

@@ -36,14 +36,9 @@
 // re-derives the protocol invariants on every grant/release (see
 // cc/lock_invariants.h).
 //
-// Common-case acquire fast path (DESIGN.md §5.4): under the semantic
-// protocol with retained locks, a repeated identical acquisition by the
-// same transaction is served from a per-tree grant cache without touching
-// the shard (cc/grant_cache.h), identical granted acquisitions coalesce
-// onto one queue entry (LockEntry::count), nil conflict verdicts are
-// memoized across a blocked request's re-scans, and queue nodes are pooled
-// on a per-shard freelist. Each mechanism is gated by a ProtocolOptions
-// flag and none of them changes a grant/block verdict.
+// Acquire has one path (DESIGN.md §5.4): one test-conflict scan of the
+// target's queue at the request's arrival sequence number, then either a
+// granted entry, or a waiting entry whose owner re-scans on every wake-up.
 #ifndef SEMCC_CC_LOCK_MANAGER_H_
 #define SEMCC_CC_LOCK_MANAGER_H_
 
@@ -61,11 +56,10 @@
 #include <vector>
 
 #include "cc/compatibility.h"
-#include "cc/grant_cache.h"
 #include "cc/lock_invariants.h"
-#include "cc/lock_target.h"
 #include "cc/method_interner.h"
 #include "cc/subtxn.h"
+#include "object/oid.h"
 #include "storage/record_manager.h"
 #include "util/annotations.h"
 #include "util/macros.h"
@@ -110,8 +104,10 @@ struct ProtocolOptions {
   /// waits for top-level commit. Correct but needlessly blocking; ablation.
   bool ancestor_walk = true;
 
-  /// Upper bound on one lock wait; expiring returns TimedOut (a safety net —
-  /// with deadlock detection on, waits should resolve).
+  /// Upper bound on one lock wait (a safety net — with deadlock detection
+  /// on, waits should resolve). A wait that reaches it counts in
+  /// LockStats::timeouts; the request then re-scans once more and returns
+  /// TimedOut, or OK if its blockers have gone by then.
   std::chrono::milliseconds wait_timeout{10000};
 
   bool deadlock_detection = true;
@@ -136,33 +132,6 @@ struct ProtocolOptions {
   /// legal under this protocol (the deadlock detector resolves them) and
   /// tracked as a diagnostic only.
   bool invariant_violations_fatal = false;
-
-  // --- acquire fast-path controls (DESIGN.md §5.4) -------------------------
-  // All verdict-preserving; each defaults on and exists so bench_ablation
-  // can price it individually. The first two apply only under
-  // kSemanticONT with retain_locks (elsewhere entry lifetimes are
-  // foreign-visible before top-level end); memoization and pooling apply
-  // to every protocol.
-
-  /// Serve repeated identical granted acquisitions from the per-tree grant
-  /// cache without taking the shard mutex. Automatically disabled while
-  /// debug_lock_checks is on so every grant still passes through the
-  /// checker (coalescing below then covers the mutex path).
-  bool lock_fast_path = true;
-
-  /// Coalesce a repeated identical acquisition onto the existing granted
-  /// entry (bump LockEntry::count) instead of appending a duplicate, so
-  /// queue length tracks distinct conflict classes, not actions.
-  bool coalesce_entries = true;
-
-  /// Memoize nil test-conflict verdicts per (entry, seq) across the
-  /// re-scans of one blocked Acquire (nil verdicts are stable in time; see
-  /// DESIGN.md §5.4), skipping the repeated O(depth^2) ancestor walks.
-  bool memoize_conflicts = true;
-
-  /// Recycle queue nodes through a per-shard freelist instead of
-  /// heap-allocating per entry.
-  bool pool_entries = true;
 
   /// Emit structured lock-decision events (grants, blocks, verdicts,
   /// wakeups, completions) into the per-thread trace rings of util/trace.h
@@ -195,11 +164,60 @@ struct ProtocolOptions {
   bool keyrange_locks = false;
 };
 
-// LockTarget and LockTargetHash live in cc/lock_target.h (included above);
-// they are re-exported here for the many existing includers.
+/// \brief What a lock names: an object, a record, or a page — optionally
+/// narrowed to a key interval within that object (keyrange_locks).
+///
+/// The interval is an *annotation*, not part of the lock's identity: two
+/// targets naming the same object always share one queue, so FCFS order
+/// stays per object. The interval only feeds the conflict scan's
+/// disjointness precheck — entries whose closed intervals [key_lo, key_hi]
+/// cannot overlap the requester's are skipped before the compatibility
+/// matrix is even consulted (DESIGN.md §5.8). operator== and LockTargetHash
+/// therefore deliberately ignore it.
+struct LockTarget {
+  enum class Space : uint8_t { kObject = 0, kRecord = 1, kPage = 2 };
+  Space space = Space::kObject;
+  uint64_t key = 0;
+  /// Closed key interval touched within the object; only meaningful when
+  /// has_interval is set (by LockManager::Acquire under keyrange_locks).
+  int64_t key_lo = 0;
+  int64_t key_hi = 0;
+  bool has_interval = false;
 
-/// \brief One lock-table entry. Namespace scope (not nested in LockManager)
-/// so cc/grant_cache.h can forward-declare it.
+  static LockTarget ForObject(Oid oid) { return {Space::kObject, oid}; }
+  static LockTarget ForRecord(const Rid& rid) {
+    return {Space::kRecord,
+            (static_cast<uint64_t>(rid.page_id) << 16) | rid.slot};
+  }
+  static LockTarget ForPage(PageId page) {
+    return {Space::kPage, static_cast<uint64_t>(page)};
+  }
+
+  /// Identity: (space, key) only — the interval annotation is invisible to
+  /// queue lookup and hashing (see class comment).
+  bool operator==(const LockTarget& other) const {
+    return space == other.space && key == other.key;
+  }
+  std::string ToString() const;
+};
+
+/// Hash over (space, key) with a splitmix64 finalizer so that the
+/// structured keys this system produces — sequential Oids, Rids whose low
+/// 16 bits are a slot, page ids — spread over both hash-table buckets and
+/// lock-table shards (which use the LOW bits). A multiplicative-only hash
+/// clusters them: e.g. `ForRecord({page, 0})` keys are all multiples of
+/// 1<<16 and would land every record of slot 0 in shard 0.
+struct LockTargetHash {
+  size_t operator()(const LockTarget& t) const {
+    uint64_t x = (t.key << 2) ^ static_cast<uint64_t>(t.space);
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<size_t>(x ^ (x >> 31));
+  }
+};
+
+/// \brief One lock-table entry: one acquisition by one action.
 struct LockEntry {
   SubTxn* acquirer;  ///< the action that requested the lock (mode source)
   SubTxn* owner;     ///< current owner (differs from acquirer only after
@@ -207,11 +225,6 @@ struct LockEntry {
   MethodId method_id;  ///< acquirer->method_id(), cached for locality
   bool is_write;
   bool granted;
-  /// Identical same-class acquisitions coalesced onto this entry (see
-  /// ProtocolOptions::coalesce_entries). Always 1 while waiting. Mutated
-  /// and read under the shard mutex only; grant-cache fast-path hits are
-  /// counted in LockStats::fast_path_hits instead of here.
-  uint32_t count;
   uint64_t seq;  ///< FCFS arrival order (per shard; never reused)
   /// Closed key interval this entry's method touches within the object
   /// (ProtocolOptions::keyrange_locks; copied from the annotated target at
@@ -227,13 +240,6 @@ struct LockEntry {
 /// \brief Per-target queue of lock entries.
 struct LockQueue {
   std::list<LockEntry> entries;
-  /// Append epoch: bumped (under the shard mutex) whenever an entry is
-  /// added. Published grant-cache slots record the value at publication;
-  /// a mismatch on the lock-free read side means queue membership may owe
-  /// a newer waiter FCFS priority, so the requester takes the mutex path.
-  /// Removals deliberately do NOT bump it — removing an entry can only
-  /// remove blockers, never create one (DESIGN.md §5.4).
-  std::atomic<uint64_t> epoch{0};
 };
 
 /// \brief Why test-conflict produced its verdict (stats + scenario tests).
@@ -268,14 +274,13 @@ struct LockStats {
   /// a bypassing access colliding with a completed subtransaction's lock.
   uint64_t retained_hits = 0;
   uint64_t deadlocks = 0;
+  /// Waits that reached ProtocolOptions::wait_timeout, whether the final
+  /// re-scan then granted the request or it returned TimedOut.
   uint64_t timeouts = 0;
-  /// Acquires served lock-free from the per-tree grant cache (§5.4).
+  /// Always 0: nothing increments them (DESIGN.md §5.4). They remain for
+  /// callers that still read them, such as oebench.
   uint64_t fast_path_hits = 0;
-  /// Fast-path-eligible acquires the grant cache could not serve.
-  uint64_t fast_path_misses = 0;
-  /// Mutex-path grants absorbed into an existing entry's count.
   uint64_t coalesced_grants = 0;
-  /// Conflict tests answered from the per-request nil-verdict memo.
   uint64_t memo_hits = 0;
   /// Queue entries skipped by the key-interval disjointness precheck
   /// (ProtocolOptions::keyrange_locks) — pairs that never reached the
@@ -377,7 +382,6 @@ class LockManager {
     std::string method;
     bool granted;
     bool retained;  ///< owner completed but lock still present
-    uint32_t count;  ///< coalesced identical acquisitions on this entry
   };
   std::vector<LockInfo> LocksOn(const LockTarget& target) const;
 
@@ -385,10 +389,6 @@ class LockManager {
   size_t NumWaiters() const SEMCC_EXCLUDES(graph_mu_);
 
  private:
-  /// Freelist entries kept per shard before RecycleEntry falls back to
-  /// freeing (bounds idle memory after a queue-heavy burst).
-  static constexpr size_t kMaxPooledEntries = 1024;
-
   /// One lock-table shard: a slice of the target space with its own mutex
   /// and condvar. Waiters on this shard's queues sleep on `cv`; events wake
   /// a shard only when they may unblock one of its queues.
@@ -398,9 +398,6 @@ class LockManager {
     std::unordered_map<LockTarget, LockQueue, LockTargetHash> table
         SEMCC_GUARDED_BY(mu);
     uint64_t next_entry_seq SEMCC_GUARDED_BY(mu) = 0;
-    /// Node pool (ProtocolOptions::pool_entries): recycled std::list nodes,
-    /// moved in and out of queues by splicing — no allocation either way.
-    std::list<LockEntry> free_entries SEMCC_GUARDED_BY(mu);
   };
 
   /// Set of shard indices to notify once all locks are dropped.
@@ -431,13 +428,6 @@ class LockManager {
     /// which purges queue entries under this shard's mutex and therefore
     /// cannot be missed.
     std::vector<SubTxn*> completion_watch;
-    /// Memoized NIL verdicts (ProtocolOptions::memoize_conflicts), keyed by
-    /// entry address with the entry seq as ABA guard against pooled-node
-    /// reuse. Nil verdicts are stable for a fixed (entry, requester) —
-    /// subtransaction states only move active -> terminal, which never
-    /// turns a nil verdict non-nil (DESIGN.md §5.4) — so the memo survives
-    /// re-scans (Clear() leaves it alone) and dies with the Acquire call.
-    std::unordered_map<const LockEntry*, uint64_t> nil_verdicts;
     void Clear() {
       blockers.clear();
       completion_watch.clear();
@@ -476,17 +466,13 @@ class LockManager {
   /// Blockers of `t` against queue `q` given its own entry seq, written
   /// into *out (cleared first). `stripe` is the shard index, for counter
   /// attribution. With count_stats, classify each verdict into the counter
-  /// bank (first scan of an Acquire only). With memoize, serve and
-  /// record nil verdicts in out->nil_verdicts — only worth paying for on
-  /// the wait loop's re-scans, never on the first scan of an Acquire that
-  /// may well grant immediately.
+  /// bank (first scan of an Acquire only).
   /// `target` carries the requester's key-interval annotation (if any) for
   /// the keyrange_locks disjointness precheck.
   void CollectBlockers(const LockShard& shard, const LockQueue& q,
                        const LockTarget& target, uint64_t my_seq, SubTxn* t,
                        bool is_write, uint32_t stripe, bool count_stats,
-                       bool memoize, ScanResult* out)
-      SEMCC_REQUIRES(shard.mu);
+                       ScanResult* out) SEMCC_REQUIRES(shard.mu);
 
   /// Withdraw `t`'s queue entry and wake this shard (abandon paths of
   /// Acquire: abort, deadlock victim, timeout). The caller separately
@@ -494,28 +480,6 @@ class LockManager {
   void RemoveWaiter(LockShard& shard, const LockTarget& target, LockQueue& q,
                     std::list<LockEntry>::iterator my_it)
       SEMCC_REQUIRES(shard.mu);
-
-  // --- acquire fast path (DESIGN.md §5.4) ---------------------------------
-
-  /// Do the semantic fast-path mechanisms (grant cache, coalescing) apply
-  /// to this request at all? Requires the semantic protocol with retained
-  /// locks — elsewhere entry lifetimes are foreign-visible before
-  /// top-level end — and excludes compensating actions, which are exempt
-  /// from FCFS and must not publish or reuse FCFS-shaped verdicts.
-  bool SemanticFastPathApplies(SubTxn* t) const {
-    return options_.protocol == Protocol::kSemanticONT &&
-           options_.retain_locks && !t->compensation();
-  }
-
-  /// Lock-free grant via the per-tree grant cache: true iff `t` matches a
-  /// published slot's verdict class and the queue epoch is unchanged. On
-  /// true the caller grants without touching the shard, and `*shard_idx`
-  /// holds the slot's shard (recorded at publication — saves the hit path
-  /// the target hash). `*cache_miss` is set when the request was fast-path
-  /// eligible but the cache could not serve it (the grant-cache miss
-  /// counter; valid on a false return).
-  bool TryFastPath(SubTxn* t, const LockTarget& target, bool is_write,
-                   bool* cache_miss, uint32_t* shard_idx);
 
   /// Stamp `target` with the key interval t's (method, args) touches inside
   /// the object, per the registry's method specs (keyrange_locks under
@@ -532,39 +496,13 @@ class LockManager {
            (e.key_hi < target.key_lo || target.key_hi < e.key_lo);
   }
 
-  /// The existing granted entry a repeated identical acquisition may
-  /// coalesce onto: same root AND same parent (identical ancestor chain on
-  /// both sides of any future test-conflict), same method/mode/type, and
-  /// matching args unless the method is argument-insensitive. Null if none.
-  /// `target` additionally constrains the candidate's key interval: only an
-  /// entry carrying the *same* interval annotation may absorb the request
-  /// (an argument-insensitive method can still touch different keys per
-  /// invocation under keyrange_locks).
-  LockEntry* FindCoalescible(const LockShard& shard, LockQueue& q,
-                             const LockTarget& target, SubTxn* t,
-                             bool is_write) SEMCC_REQUIRES(shard.mu);
-
-  /// Append an entry for `t` (through the shard freelist when pooling is
-  /// on), copying `target`'s key-interval annotation into it, and bump the
-  /// queue's append epoch.
+  /// Append an entry for `t`, copying `target`'s key-interval annotation
+  /// into it.
   std::list<LockEntry>::iterator AppendEntry(LockShard& shard, LockQueue& q,
                                              const LockTarget& target,
                                              SubTxn* t, bool is_write,
                                              bool granted, uint64_t seq)
       SEMCC_REQUIRES(shard.mu);
-
-  /// Remove the entry at `it` from `q`, recycling the node onto the shard
-  /// freelist when pooling is on.
-  void RecycleEntry(LockShard& shard, LockQueue& q,
-                    std::list<LockEntry>::iterator it)
-      SEMCC_REQUIRES(shard.mu);
-
-  /// Publish `entry` (just granted to `t` with the WHOLE queue — granted
-  /// entries and waiters of any arrival order — testing nil against it) in
-  /// the root's grant cache. Caller verified the publication condition and
-  /// the option gates.
-  void PublishSlot(LockQueue& q, const LockTarget& target, SubTxn* t,
-                   bool is_write, const LockEntry* entry, uint32_t shard_idx);
 
   /// Erase t's wait record (if any) under the graph mutex.
   void EraseWaitRecord(SubTxn* t) SEMCC_EXCLUDES(graph_mu_);
@@ -653,10 +591,6 @@ class LockManager {
     kCtrRetainedHits,
     kCtrDeadlocks,
     kCtrTimeouts,
-    kCtrFastPathHits,
-    kCtrFastPathMisses,
-    kCtrCoalescedGrants,
-    kCtrMemoHits,
     kCtrKeyrangeSkips,
     kCtrGrantedEntries,
     kCtrReleasedEntries,

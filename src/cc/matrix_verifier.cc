@@ -215,8 +215,8 @@ void MatrixVerifier::VerifyStructural(TypeId type,
            "args_sensitive[" + interner.NameOf(m) + "]=" +
                (bit ? "1" : "0") + " but row " +
                (row_has_pred ? "has" : "has no") +
-               " predicate cells — a wrong bit makes grant-cache hits and "
-               "entry coalescing (§5.4) reuse argument-dependent verdicts"});
+               " predicate cells — a wrong bit makes ArgsMatter misreport "
+               "whether the method's verdicts depend on its arguments"});
     }
   }
 
@@ -343,7 +343,7 @@ void MatrixVerifier::VerifyBehavioral(TypeId type,
                  m + " is marked argument-INsensitive but its verdict vs " +
                      m2 + ArgsToString(b) + " differs between args " +
                      ArgsToString(samples_[0]) + " and " + ArgsToString(a) +
-                     " — coalescing/grant-cache reuse would be unsound"});
+                     " — ArgsMatter would wrongly call them argument-free"});
           }
         }
       }

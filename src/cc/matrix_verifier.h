@@ -4,8 +4,9 @@
 // (paper §2.2/§3; Malta & Martinez, "Limits of Commutativity on Abstract
 // Data Types"): commutativity is symmetric, the compiled dense tables must
 // agree with the registration-level view they were compiled from, the
-// args_sensitive bitvector must be sound (the §5.4 grant cache and entry
-// coalescing treat argument-insensitive methods as one conflict class), and
+// args_sensitive bitvector must be sound (CompatibilityRegistry::ArgsMatter
+// promises that an argument-insensitive method's verdicts never depend on
+// its arguments, and the golden table prints the bits), and
 // the per-type matrix must be total over its declared methods — an
 // unregistered pair silently falls through to the generic rules, else
 // conflict, which makes the ancestor walk (Fig. 8/9, Case 1/2 relief)

@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "cc/grant_cache.h"
 #include "util/logging.h"
 
 namespace semcc {
@@ -19,19 +18,6 @@ SubTxn::SubTxn(TxnId id, SubTxn* parent, Oid object, TypeId type,
       method_(std::move(method)),
       method_id_(MethodInterner::Global().Intern(method_)),
       args_(std::move(args)) {}
-
-SubTxn::~SubTxn() = default;
-
-GrantCache& SubTxn::EnsureGrantCache() {
-  if (grant_cache_ == nullptr) grant_cache_ = std::make_unique<GrantCache>();
-  return *grant_cache_;
-}
-
-void SubTxn::ClearGrantCache() {
-  // Keep the allocation (and its buckets): cleared caches are refilled by
-  // the very next published grant of the same tree (retries reuse trees).
-  if (grant_cache_ != nullptr) grant_cache_->Clear();
-}
 
 bool SubTxn::IsAncestorOf(const SubTxn* other) const {
   for (const SubTxn* n = other->parent_; n != nullptr; n = n->parent_) {

@@ -22,8 +22,6 @@
 
 namespace semcc {
 
-class GrantCache;
-
 using TxnId = uint64_t;
 
 enum class TxnState : int {
@@ -41,7 +39,6 @@ class SubTxn {
  public:
   SubTxn(TxnId id, SubTxn* parent, Oid object, TypeId type, std::string method,
          Args args);
-  ~SubTxn();  // out-of-line: grant_cache_ is of forward-declared type
   SEMCC_DISALLOW_COPY_AND_ASSIGN(SubTxn);
 
   TxnId id() const { return id_; }
@@ -108,16 +105,6 @@ class SubTxn {
     return lock_shards_.load(std::memory_order_relaxed);
   }
 
-  /// Per-tree grant cache (cc/grant_cache.h), maintained on the ROOT node.
-  /// Accessed only by the tree's executing thread; see the threading note
-  /// in grant_cache.h. Null until the lock manager first publishes a slot.
-  GrantCache* grant_cache() { return grant_cache_.get(); }
-  /// Lazily allocate the cache (lock manager, on first publication).
-  GrantCache& EnsureGrantCache();
-  /// Drop every cached slot (ReleaseTree; TxnCtx::Rollback before
-  /// compensation). Must run before any queue entry of the tree is removed.
-  void ClearGrantCache();
-
   // --- timestamps for the history / serializability checker --------------
   uint64_t grant_seq() const { return grant_seq_; }
   void set_grant_seq(uint64_t s) { grant_seq_ = s; }
@@ -164,7 +151,6 @@ class SubTxn {
   std::atomic<TxnState> state_{TxnState::kActive};
   std::atomic<bool> abort_requested_{false};
   std::atomic<uint64_t> lock_shards_{0};
-  std::unique_ptr<GrantCache> grant_cache_;
   bool compensation_ = false;
   uint64_t grant_seq_ = 0;
   uint64_t end_seq_ = 0;

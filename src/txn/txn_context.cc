@@ -486,10 +486,6 @@ Result<Oid> TxnCtx::CreateSet(TypeId type) {
 // --- compensation -----------------------------------------------------------
 
 void TxnCtx::Rollback() {
-  // Drop the tree's grant cache before compensations run: published slots
-  // assume an abort-free tree, and compensating actions must take the full
-  // queue-scan path (they are exempt from FCFS, §4.2 footnote 5).
-  tree_->root()->ClearGrantCache();
   in_compensation_ = true;
   SubTxn* saved = current_;
   current_ = tree_->root();

@@ -43,7 +43,8 @@ namespace trace {
 
 enum class EventKind : uint8_t {
   kGrant = 1,          ///< lock granted on the first (pre-append) scan
-  kFastPathGrant = 2,  ///< lock granted lock-free from the grant cache
+  kFastPathGrant = 2,  ///< reserved: no longer emitted; older captures
+                       ///< carry it and replay reads it as a grant
   kBlock = 3,          ///< request blocked; `other` = blocker id
   kGrantAfterWait = 4, ///< blocked request finally granted; `value` = wait us
   kDeadlockVictim = 5, ///< requester chosen as deadlock victim

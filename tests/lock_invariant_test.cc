@@ -59,14 +59,13 @@ constexpr TypeId kAtomT = 2;
 constexpr Oid kObjA = 100;
 constexpr Oid kObjB = 200;
 
-// Parameterized over (shard count, §5.4 fast-path flag mask): the whole
-// suite must hold for the default sharded table AND for
-// lock_table_shards = 1 (the single-shard configuration equivalent to the
-// pre-sharding lock manager), and identically with the acquisition
-// fast-path mechanisms off, coalescing alone, or everything on — the
-// mechanisms are verdict-preserving, so the checker's view cannot change.
-// Flag mask bits: 1 = lock_fast_path, 2 = coalesce_entries,
-// 4 = memoize_conflicts, 8 = pool_entries.
+// Parameterized over (shard count, fast-path flag mask): the whole suite
+// must hold for the default sharded table AND for lock_table_shards = 1 (the
+// single-shard configuration equivalent to the pre-sharding lock manager).
+// The flag mask is always 0. The suite once also ran under masks 2 and 15
+// of the four §5.4 fast-path mechanisms; with those deleted, mask 0 (none
+// of them) is the one acquire path left, and keeping it in the parameter
+// keeps the `shards<N>_flags0` test IDs unchanged.
 struct LockInvariantTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {
   LockInvariantTest() {
@@ -80,11 +79,6 @@ struct LockInvariantTest
     o.debug_lock_checks = true;  // force on even in release builds
     o.wait_timeout = std::chrono::milliseconds(2000);
     o.lock_table_shards = std::get<0>(GetParam());
-    const int mask = std::get<1>(GetParam());
-    o.lock_fast_path = (mask & 1) != 0;
-    o.coalesce_entries = (mask & 2) != 0;
-    o.memoize_conflicts = (mask & 4) != 0;
-    o.pool_entries = (mask & 8) != 0;
     return std::make_unique<LockManager>(o, &compat);
   }
 
@@ -182,8 +176,7 @@ TEST_P(LockInvariantTest, ConsistentOrderProducesNoInversions) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardAndFastPathConfigs, LockInvariantTest,
-    ::testing::Combine(::testing::Values(1, 16),
-                       ::testing::Values(0, 2, 15)),
+    ::testing::Combine(::testing::Values(1, 16), ::testing::Values(0)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return "shards" + std::to_string(std::get<0>(info.param)) + "_flags" +
              std::to_string(std::get<1>(info.param));

@@ -25,11 +25,10 @@ constexpr TypeId kItemT = 1;  // methods Ma (self-conflicting), Mb
 constexpr TypeId kAtomT = 2;  // atomic leaves via generic Get/Put
 constexpr Oid kObjA = 100;
 
-// Parameterized over the §5.4 acquisition fast-path flag mask
-// (1 = lock_fast_path, 2 = coalesce_entries, 4 = memoize_conflicts,
-// 8 = pool_entries): sharding, FCFS order, deadlock handling, and wakeup
-// liveness must be byte-identical with the mechanisms off, with coalescing
-// alone, and with everything on — they are verdict-preserving.
+// Parameterized over a fast-path flag mask that is always 0. The suite once
+// also ran under masks 2 and 15 of the four §5.4 fast-path mechanisms; with
+// those deleted, mask 0 (none of them) is the one acquire path left, and
+// keeping it as the parameter keeps the `flags0` test IDs unchanged.
 struct LockShardTest : public ::testing::TestWithParam<int> {
   LockShardTest() {
     compat.Define(kItemT, "Ma", "Ma", false);
@@ -38,11 +37,6 @@ struct LockShardTest : public ::testing::TestWithParam<int> {
   }
 
   std::unique_ptr<LockManager> Make(ProtocolOptions o) {
-    const int mask = GetParam();
-    o.lock_fast_path = (mask & 1) != 0;
-    o.coalesce_entries = (mask & 2) != 0;
-    o.memoize_conflicts = (mask & 4) != 0;
-    o.pool_entries = (mask & 8) != 0;
     return std::make_unique<LockManager>(o, &compat);
   }
 
@@ -361,7 +355,7 @@ TEST_P(LockShardTest, SingleShardConfigStillWorks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FastPathConfigs, LockShardTest,
-                         ::testing::Values(0, 2, 15),
+                         ::testing::Values(0),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "flags" + std::to_string(info.param);
                          });

@@ -102,8 +102,8 @@ TEST(MatrixVerifyTest, RejectsWrongArgsSensitiveBit) {
   CompatibilityRegistry c;
   InstallScratchMatrix(&c);
   // MvA has a predicate cell (vs MvC), so its args_sensitive bit must be
-  // set; clearing it would let the §5.4 grant cache and entry coalescing
-  // treat two MvA invocations with different args as one conflict class.
+  // set; clearing it would make ArgsMatter claim that two MvA invocations
+  // with different args always get the same verdicts.
   ASSERT_TRUE(c.TestOnlyCorruptArgsSensitive(kScratchType, "MvA", false));
   const MatrixVerifyReport report = MatrixVerifier(&c).Verify();
   ASSERT_FALSE(report.ok());
@@ -111,7 +111,7 @@ TEST(MatrixVerifyTest, RejectsWrongArgsSensitiveBit) {
       << report.ToString();
 
   // The opposite defect — marking a purely static method sensitive —
-  // must be rejected too (it silently disables coalescing for the method).
+  // must be rejected too (ArgsMatter would then overstate the method).
   CompatibilityRegistry c2;
   InstallScratchMatrix(&c2);
   ASSERT_TRUE(c2.TestOnlyCorruptArgsSensitive(kScratchType, "MvB", true));
