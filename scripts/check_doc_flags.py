@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Doc-lint: ProtocolOptions and the docs must agree in both directions.
+"""Doc-lint: the option structs and the docs must agree in both directions.
 
 Usage: check_doc_flags.py [--header src/cc/lock_manager.h] [--doc README.md]
                           [--design DESIGN.md] [--experiments EXPERIMENTS.md]
                           [--tuning TUNING.md]
 
-Parses the `struct ProtocolOptions { ... }` block out of the header with a
-small brace-tracking scanner (no compiler needed), then checks:
+Parses the `struct ProtocolOptions { ... }` block out of the header, and the
+other option structs (OPTION_STRUCTS) out of theirs, with a small
+brace-tracking scanner (no compiler needed), then checks:
 
-  1. every field appears in the README flag reference AND in DESIGN.md AND
-     in EXPERIMENTS.md (a new knob cannot land without user docs, a design
-     rationale, and a recorded experiment or explicit mention),
-  2. every row of the README flag-reference table names a real field,
-  3. every `ProtocolOptions::x` mention in any of the four docs names a
-     real field, and
+  1. every ProtocolOptions field appears in the README flag reference AND in
+     DESIGN.md AND in EXPERIMENTS.md (a new knob cannot land without user
+     docs, a design rationale, and a recorded experiment or explicit
+     mention),
+  2. every row of the README flag-reference table names a real
+     ProtocolOptions field,
+  3. every `Struct::x` mention of an option struct (ProtocolOptions,
+     DatabaseOptions, RecoveryOptions, WalOptions, FileLogDeviceOptions) in
+     any of the four docs names a real field of that struct, and
   4. every backticked snake_case identifier in TUNING.md (knobs, stats
      fields, bench columns) occurs in the sources under src/, bench/,
      tools/ or scripts/.
@@ -34,11 +38,21 @@ FIELD_RE = re.compile(
     r"(?:=[^;]*|\{[^;]*\})?;"                    # optional = or {} default
 )
 
+# Option structs other than ProtocolOptions whose `Struct::field` mentions
+# in the docs must resolve, with the header (relative to the repo root)
+# that defines each.
+OPTION_STRUCTS = {
+    "DatabaseOptions": "src/core/database.h",
+    "RecoveryOptions": "src/recovery/recovery_manager.h",
+    "WalOptions": "src/recovery/wal.h",
+    "FileLogDeviceOptions": "src/recovery/file_log_device.h",
+}
 
-def protocol_options_fields(header_text):
-    start = header_text.find("struct ProtocolOptions")
+
+def struct_fields(header_text, struct):
+    start = header_text.find(f"struct {struct} ")
     if start < 0:
-        raise ValueError("struct ProtocolOptions not found")
+        raise ValueError(f"struct {struct} not found")
     brace = header_text.find("{", start)
     depth = 0
     end = brace
@@ -60,7 +74,7 @@ def protocol_options_fields(header_text):
         if m:
             fields.append(m.group(1))
     if not fields:
-        raise ValueError("no fields parsed from ProtocolOptions")
+        raise ValueError(f"no fields parsed from {struct}")
     return list(dict.fromkeys(fields))  # dedupe #if-branched fields
 
 
@@ -101,15 +115,15 @@ def unknown_identifiers(doc_text, known):
     return unknown
 
 
-def stale_mentions(doc_text, fields):
-    """`ProtocolOptions::x` mentions that name no real field, with lines."""
-    known = set(fields)
+def stale_mentions(doc_text, struct_fields_by_name):
+    """`Struct::x` mentions that name no real field, with lines."""
+    names = "|".join(map(re.escape, struct_fields_by_name))
     stale = []
     for lineno, line in enumerate(doc_text.splitlines(), 1):
-        for m in re.finditer(r"ProtocolOptions::([A-Za-z_][A-Za-z0-9_]*)",
+        for m in re.finditer(rf"\b({names})::([A-Za-z_][A-Za-z0-9_]*)",
                              line):
-            if m.group(1) not in known:
-                stale.append((lineno, m.group(1)))
+            if m.group(2) not in struct_fields_by_name[m.group(1)]:
+                stale.append((lineno, m.group(1), m.group(2)))
     return stale
 
 
@@ -124,7 +138,11 @@ def main():
     args = ap.parse_args()
 
     header_text = pathlib.Path(args.header).read_text()
-    fields = protocol_options_fields(header_text)
+    fields = struct_fields(header_text, "ProtocolOptions")
+    option_fields = {"ProtocolOptions": set(fields)}
+    for struct, header in OPTION_STRUCTS.items():
+        option_fields[struct] = set(
+            struct_fields((repo / header).read_text(), struct))
 
     hints = {
         args.doc: "(add a row for each to the README flag-reference table)",
@@ -154,10 +172,10 @@ def main():
                 print(f"  {f}")
             print(hints[doc])
             failed = True
-        stale = stale_mentions(text, fields)
-        for lineno, name in stale:
+        stale = stale_mentions(text, option_fields)
+        for lineno, struct, name in stale:
             print(f"doc-lint: {doc}:{lineno}: "
-                  f"ProtocolOptions::{name} does not name a real field "
+                  f"{struct}::{name} does not name a real field "
                   "(renamed or removed knob? update the prose)")
         failed = failed or bool(stale)
 
@@ -185,7 +203,7 @@ def main():
         return 1
     print(f"doc-lint: all {len(fields)} ProtocolOptions fields documented "
           f"in README, DESIGN, and EXPERIMENTS; all {len(rows)} README flag "
-          "rows, ProtocolOptions:: mentions and TUNING identifiers resolve")
+          "rows, option-struct mentions and TUNING identifiers resolve")
     return 0
 
 

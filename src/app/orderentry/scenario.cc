@@ -127,7 +127,9 @@ ScenarioOutcome RunFig4(PaperScenario* s) {
       sched.Signal("t1.a.done");
       // Give T2 a window; don't hang forever under blocking protocols.
       sched.WaitFor("t2.a.done", milliseconds(300));
-      return ctx.Invoke(s->i2, "ShipOrder", {Value(s->ono2)});
+      auto b = ctx.Invoke(s->i2, "ShipOrder", {Value(s->ono2)});
+      sched.Signal("t1.b.done");
+      return b;
     });
     out.t_left_committed = r.ok();
   });
@@ -138,6 +140,12 @@ ScenarioOutcome RunFig4(PaperScenario* s) {
                              ctx.Invoke(s->i1, "PayOrder", {Value(s->ono1)}));
       (void)a;
       sched.Signal("t2.a.done");
+      // Only the first actions interleave (the figure's point). Overlapping
+      // second actions would let both ChangeStatus(o2) calls Get the status
+      // and each Put wait for the other: a Case 2 deadlock whose victim
+      // RunTransactionOnce does not retry. Under blocking protocols T1 has
+      // committed by now, so this wait returns at once.
+      sched.WaitFor("t1.b.done");
       return ctx.Invoke(s->i2, "PayOrder", {Value(s->ono2)});
     });
     out.t_right_committed = r.ok();

@@ -54,7 +54,8 @@ struct ScenarioOutcome {
 
 /// Figure 4: T1 (ship o1@i1, o2@i2) concurrent with T2 (pay o1@i1, o2@i2).
 /// The schedule forces T2's PayOrder(i1, o1) to run between T1's two
-/// ShipOrder actions.
+/// ShipOrder actions, and starts T2's PayOrder(i2, o2) only after T1's
+/// ShipOrder(i2, o2) has returned.
 ScenarioOutcome RunFig4(PaperScenario* s);
 
 /// Figure 5: T1 (ship o1@i1, o2@i2) with T3 checking shipment *directly on

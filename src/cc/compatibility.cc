@@ -351,7 +351,6 @@ void CompatibilityRegistry::Recompile() {
     table.dim = static_cast<uint32_t>(interner.size());
     table.cells.assign(static_cast<size_t>(table.dim) * table.dim,
                        static_cast<uint8_t>(kUnknown));
-    table.args_sensitive.assign(table.dim, 0);
     for (const auto& [key, entry] : entries) {
       const MethodId a = interner.Lookup(key.first);
       const MethodId b = interner.Lookup(key.second);
@@ -377,8 +376,6 @@ void CompatibilityRegistry::Recompile() {
         rev.args_in_order = entry.swapped;
         table.preds.emplace(std::make_pair(a, b), std::move(fwd));
         if (a != b) table.preds.emplace(std::make_pair(b, a), std::move(rev));
-        table.args_sensitive[a] = 1;
-        table.args_sensitive[b] = 1;
       }
     }
   }
@@ -441,22 +438,6 @@ bool CompatibilityRegistry::Commute(TypeId type, MethodId m1, const Args& a1,
   std::optional<bool> generic = GenericCommute(m1, a1, m2, a2);
   if (generic.has_value()) return *generic;
   return false;  // safe default: conflict
-}
-
-bool CompatibilityRegistry::ArgsMatter(TypeId type, MethodId m) const {
-  using namespace generic_ids;
-  // Key-addressed generic ops commute iff their keys differ / ranges miss
-  // (GenericCommute) — argument-sensitive for any type, since unknown cells
-  // fall through to the generic rules.
-  if (m == kInsert || m == kRemove || m == kSelect || m == kMember ||
-      m == kRangeScan) {
-    return true;
-  }
-  const Compiled* compiled = compiled_.load(std::memory_order_acquire);
-  if (compiled == nullptr) return false;
-  const Compiled::TypeTable* table = compiled->TableFor(type);
-  if (table == nullptr || m >= table->dim) return false;
-  return table->args_sensitive[m] != 0;
 }
 
 bool CompatibilityRegistry::Commute(TypeId type, const std::string& m1,
@@ -560,15 +541,6 @@ CompatibilityRegistry::CellKind CompatibilityRegistry::CompiledCell(
   return static_cast<CellKind>(table->CellAt(m1, m2));
 }
 
-bool CompatibilityRegistry::CompiledArgsSensitive(TypeId type,
-                                                  MethodId m) const {
-  const Compiled* compiled = compiled_.load(std::memory_order_acquire);
-  if (compiled == nullptr) return false;
-  const Compiled::TypeTable* table = compiled->TableFor(type);
-  if (table == nullptr || m >= table->dim) return false;
-  return table->args_sensitive[m] != 0;
-}
-
 uint32_t CompatibilityRegistry::CompiledDim(TypeId type) const {
   const Compiled* compiled = compiled_.load(std::memory_order_acquire);
   if (compiled == nullptr) return 0;
@@ -614,21 +586,6 @@ bool CompatibilityRegistry::TestOnlyCorruptCell(TypeId type,
   if (table == nullptr || a >= table->dim || b >= table->dim) return false;
   table->cells[static_cast<size_t>(a) * table->dim + b] =
       static_cast<uint8_t>(cell);
-  return true;
-}
-
-bool CompatibilityRegistry::TestOnlyCorruptArgsSensitive(TypeId type,
-                                                         const std::string& m,
-                                                         bool sensitive) {
-  MethodInterner& interner = MethodInterner::Global();
-  const MethodId id = interner.Lookup(m);
-  if (id == kInvalidMethodId) return false;
-  auto* compiled = const_cast<Compiled*>(
-      compiled_.load(std::memory_order_acquire));
-  if (compiled == nullptr) return false;
-  auto* table = const_cast<Compiled::TypeTable*>(compiled->TableFor(type));
-  if (table == nullptr || id >= table->dim) return false;
-  table->args_sensitive[id] = sensitive ? 1 : 0;
   return true;
 }
 

@@ -6,9 +6,9 @@
 // top-level commit, a wait-for cycle the deadlock detector fails to see.
 // When ProtocolOptions::debug_lock_checks is on, the LockManager re-derives
 // the protocol invariants from first principles on every grant and release
-// (under its table mutex) and funnels violations through the counters here —
-// optionally fatally (ProtocolOptions::invariant_violations_fatal), turning
-// latent protocol bugs into immediate failures under test.
+// (under its table mutex) and funnels violations through the counters here,
+// which tests assert to be zero — turning latent protocol bugs into test
+// failures.
 //
 // Checked invariants:
 //  * grant soundness — at the moment a request is granted, every other
@@ -19,11 +19,11 @@
 //    must never belong to a completed subtransaction (only granted locks
 //    are retained past completion), and every lock of a finished top-level
 //    transaction must be gone once ReleaseTree returns;
-//  * wait-graph acyclicity — with deadlock detection on, the waits-for
-//    graph (plus the completion dependencies through incomplete children)
-//    must be acyclic once victims are excluded: a surviving cycle means
-//    DetectDeadlock missed a deadlock;
-//  * lock-order discipline (diagnostic, never fatal) — the global
+//  * wait-graph acyclicity — the waits-for graph (plus the completion
+//    dependencies through incomplete children) must be acyclic once
+//    victims are excluded: a surviving cycle means DetectDeadlock missed a
+//    deadlock;
+//  * lock-order discipline (diagnostic only) — the global
 //    "transaction holding A acquired B" graph is tracked, and closing a
 //    cycle in it is counted as an order inversion. Inversions are legal
 //    under this protocol (the deadlock detector resolves them) but each one

@@ -487,9 +487,6 @@ SubTxn* LockManager::DetectDeadlock(SubTxn* t) const {
 void LockManager::InvariantViolation(const char* kind,
                                      const std::string& detail) {
   SEMCC_LOG(Error) << "lock invariant violated [" << kind << "]: " << detail;
-  if (options_.invariant_violations_fatal) {
-    SEMCC_CHECK(false) << "lock invariant [" << kind << "]: " << detail;
-  }
 }
 
 void LockManager::CheckGrantInvariants(const LockShard& shard,
@@ -650,7 +647,7 @@ uint64_t LockManager::CheckInvariantsNow() SEMCC_NO_THREAD_SAFETY_ANALYSIS {
         CheckQueueInvariants(shard, q);
       }
     }
-    if (options_.deadlock_detection) CheckWaitGraphAcyclic();
+    CheckWaitGraphAcyclic();
   }
   for (auto& sp : shards_) sp->mu.Unlock();
   return inv_stats_.protocol_violations();
@@ -843,32 +840,30 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
         WaitRecord& rec = waits_[t];
         rec.blockers.assign(scan.blockers.begin(), scan.blockers.end());
         rec.shard = shard_idx;
-        if (options_.deadlock_detection) {
-          SubTxn* victim = DetectDeadlock(t);
-          if (victim != nullptr) {
-            if (victim == t->root()) {
-              counters_.Inc(shard_idx, kCtrDeadlocks);
-              waits_.erase(t);
-              self_victim = true;
-            } else if (!victim->abort_requested()) {
-              // First detector to see this cycle: flag the victim (under
-              // the graph mutex, so registering waiters re-check it before
-              // sleeping) and wake its blocked actions.
-              counters_.Inc(shard_idx, kCtrDeadlocks);
-              victim->RequestAbort();
-              for (const auto& [waiter, wrec] : waits_) {
-                if (waiter->root() == victim) wake.set(wrec.shard);
-              }
-              revalidate = true;
+        SubTxn* victim = DetectDeadlock(t);
+        if (victim != nullptr) {
+          if (victim == t->root()) {
+            counters_.Inc(shard_idx, kCtrDeadlocks);
+            waits_.erase(t);
+            self_victim = true;
+          } else if (!victim->abort_requested()) {
+            // First detector to see this cycle: flag the victim (under
+            // the graph mutex, so registering waiters re-check it before
+            // sleeping) and wake its blocked actions.
+            counters_.Inc(shard_idx, kCtrDeadlocks);
+            victim->RequestAbort();
+            for (const auto& [waiter, wrec] : waits_) {
+              if (waiter->root() == victim) wake.set(wrec.shard);
             }
-            // Otherwise the victim is already flagged and its waiters
-            // woken by the first detector; sleep normally.
+            revalidate = true;
           }
-          if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
-            // At this point every wait cycle must have a victim flagged.
-            inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
-            CheckWaitGraphAcyclic();
-          }
+          // Otherwise the victim is already flagged and its waiters
+          // woken by the first detector; sleep normally.
+        }
+        if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
+          // At this point every wait cycle must have a victim flagged.
+          inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
+          CheckWaitGraphAcyclic();
         }
       }
     }

@@ -104,13 +104,11 @@ struct ProtocolOptions {
   /// waits for top-level commit. Correct but needlessly blocking; ablation.
   bool ancestor_walk = true;
 
-  /// Upper bound on one lock wait (a safety net — with deadlock detection
-  /// on, waits should resolve). A wait that reaches it counts in
-  /// LockStats::timeouts; the request then re-scans once more and returns
-  /// TimedOut, or OK if its blockers have gone by then.
+  /// Upper bound on one lock wait (a safety net — the deadlock detector
+  /// breaks wait cycles, so waits should resolve). A wait that reaches it
+  /// counts in LockStats::timeouts; the request then re-scans once more and
+  /// returns TimedOut, or OK if its blockers have gone by then.
   std::chrono::milliseconds wait_timeout{10000};
-
-  bool deadlock_detection = true;
 
   /// Number of lock-table shards (clamped to a power of two in [1, 256]).
   /// 1 reproduces the pre-sharding single-mutex behavior for ablations.
@@ -126,12 +124,6 @@ struct ProtocolOptions {
 #else
   bool debug_lock_checks = false;
 #endif
-
-  /// Fail fast (SEMCC_CHECK) on a detected *protocol* violation instead of
-  /// counting + logging. Lock-order inversions are never fatal: they are
-  /// legal under this protocol (the deadlock detector resolves them) and
-  /// tracked as a diagnostic only.
-  bool invariant_violations_fatal = false;
 
   /// Emit structured lock-decision events (grants, blocks, verdicts,
   /// wakeups, completions) into the per-thread trace rings of util/trace.h

@@ -3,15 +3,12 @@
 // The protocol's correctness rests on matrix properties no compiler checks
 // (paper §2.2/§3; Malta & Martinez, "Limits of Commutativity on Abstract
 // Data Types"): commutativity is symmetric, the compiled dense tables must
-// agree with the registration-level view they were compiled from, the
-// args_sensitive bitvector must be sound (CompatibilityRegistry::ArgsMatter
-// promises that an argument-insensitive method's verdicts never depend on
-// its arguments, and the golden table prints the bits), and
-// the per-type matrix must be total over its declared methods — an
+// agree with the registration-level view they were compiled from, and the
+// per-type matrix must be total over its declared methods — an
 // unregistered pair silently falls through to the generic rules, else
 // conflict, which makes the ancestor walk (Fig. 8/9, Case 1/2 relief)
 // strictly more blocking than the ADT designer intended. The verifier
-// mechanically checks all four families against a live registry and can
+// mechanically checks all three families against a live registry and can
 // dump the exhaustive verified verdict table for golden-file regression.
 //
 // Two consumers: tools/matrix_verify (a ctest over the real registry) and
@@ -62,11 +59,6 @@ struct MatrixVerifyReport {
 ///  - "registration-agreement": each registered entry compiled to the cell
 ///    kind it implies (static-compatible / static-conflict / predicate), and
 ///    every non-kUnknown compiled cell has a backing registered entry.
-///  - "args-sensitive": the compiled bitvector marks exactly the methods
-///    with a predicate cell in their row; behaviorally, a method reported
-///    argument-INsensitive by ArgsMatter() must produce argument-invariant
-///    verdicts across the sampled argument vectors, in both query
-///    directions, against every method of its type and the generic ops.
 ///  - "pred-symmetry" / "pred-determinism": predicate verdicts are symmetric
 ///    under operand swap and stable under re-evaluation over the samples.
 ///  - "matrix-totality": every pair over a type's declared/registered
@@ -84,7 +76,7 @@ class MatrixVerifier {
  public:
   explicit MatrixVerifier(const CompatibilityRegistry* compat);
 
-  /// Add an argument vector to the predicate/sensitivity sample set (the
+  /// Add an argument vector to the predicate sample set (the
   /// built-in set covers nullary, int-keyed, string-event, and two-arg
   /// shapes; ADTs with exotic predicates can extend it).
   void AddSampleArgs(Args args);

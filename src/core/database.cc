@@ -6,27 +6,22 @@
 namespace semcc {
 
 Database::Database(DatabaseOptions options)
-    : options_(std::move(options)), disk_(options_.simulated_io_micros) {
+    : options_(std::move(options)) {
   buffer_pool_ = std::make_unique<BufferPool>(options_.buffer_pool_pages, &disk_);
   records_ = std::make_unique<RecordManager>(buffer_pool_.get());
   store_ = std::make_unique<ObjectStore>(&schema_, records_.get());
   history_.SetEnabled(options_.record_history);
   if (options_.enable_wal) {
     const RecoveryOptions& ropts = options_.recovery;
-    WalOptions wopts;
-    wopts.max_flush_attempts = ropts.max_flush_attempts;
-    wopts.flush_retry_backoff = ropts.flush_retry_backoff;
     if (!ropts.log_dir.empty()) {
       FileLogDeviceOptions fopts;
       fopts.segment_bytes = ropts.log_segment_bytes;
       auto device = FileLogDevice::Open(ropts.log_dir, fopts);
       SEMCC_CHECK(device.ok()) << "cannot open log directory " << ropts.log_dir
                                << ": " << device.status().ToString();
-      wal_ = std::make_unique<WriteAheadLog>(std::move(device).ValueUnsafe(),
-                                             wopts);
+      wal_ = std::make_unique<WriteAheadLog>(std::move(device).ValueUnsafe());
     } else {
-      wal_ = std::make_unique<WriteAheadLog>(
-          std::make_unique<InMemoryLogDevice>(ropts.wal_flush_micros), wopts);
+      wal_ = std::make_unique<WriteAheadLog>(ropts.wal_flush_micros);
     }
     recovery_ = std::make_unique<RecoveryManager>(wal_.get(), ropts);
     store_->SetListener(recovery_.get());

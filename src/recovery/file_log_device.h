@@ -30,16 +30,15 @@
 namespace semcc {
 
 struct FileLogDeviceOptions {
-  /// Rotate to a new segment once the current one reaches this size.
+  /// Rotate to a new segment once the current one reaches this size. Each
+  /// fresh segment is preallocated to this size with written-through zeros
+  /// so commit syncs are pure data overwrites (no block allocation or inode
+  /// update in the journal — roughly halves fdatasync latency on ext4 and
+  /// collapses its tail). The padding beyond the last append reads back as
+  /// zeros, which the frame scanner treats as a torn tail and
+  /// RecoverAtStartup truncates away — so a reopened log must run recovery
+  /// before appending (the WAL always does).
   uint64_t segment_bytes = 4u << 20;
-  /// Preallocate each fresh segment with written-through zeros so commit
-  /// syncs are pure data overwrites (no block allocation or inode update in
-  /// the journal — roughly halves fdatasync latency on ext4 and collapses
-  /// its tail). The padding beyond the last append reads back as zeros,
-  /// which the frame scanner treats as a torn tail and RecoverAtStartup
-  /// truncates away — so a reopened log must run recovery before appending
-  /// (the WAL always does).
-  bool preallocate = true;
 };
 
 class FileLogDevice : public LogDevice {

@@ -16,7 +16,10 @@ RecoveryManager::RecoveryManager(WriteAheadLog* wal, RecoveryOptions options)
                         std::memory_order_relaxed);
   }
   if (options_.group_commit) {
-    const int n = std::max(1, options_.flusher_threads);
+    // One flusher per pipeline slot: while one thread's batch syncs, the
+    // other listens for the commits arriving meanwhile and leads the next
+    // batch (see WriteAheadLog::FlushTo).
+    constexpr int n = static_cast<int>(WriteAheadLog::kMaxInflightBatches);
     gc_live_ = n;
     for (int i = 0; i < n; ++i) {
       gc_pool_.emplace_back([this]() { GroupFlusherLoop(); });
@@ -35,25 +38,6 @@ void RecoveryManager::Shutdown() {
   gc_cv_.NotifyAll();
   for (std::thread& t : gc_pool_) t.join();
   gc_pool_.clear();
-}
-
-std::chrono::microseconds RecoveryManager::AdaptiveWindow() const {
-  if (!options_.adaptive_group_window) return options_.group_window;
-  // Adaptive mode never sleeps a timed window: the in-flight fsync *is* the
-  // window. The first commit's demand starts a sync immediately; every
-  // commit that arrives while it runs is claimed by the listening pool
-  // thread into the next pipelined batch and absorbed for free when that
-  // batch wins the device. Batch size then self-tunes to the device: a slow
-  // sync accumulates more followers, a fast one fewer, and the device never
-  // idles. A timed gather-window is strictly worse here — any variant that
-  // waits for committers to pile up (measured on this device with an
-  // all-aboard window capped at one p50 sync) parks every closed-loop
-  // thread before syncing, so nothing is appended *during* the fsync, the
-  // pipeline never forms, and each cycle restarts cold: window + sync
-  // serialize instead of overlapping, and group commit loses to
-  // force-per-commit. The fixed-window option preserves the pre-adaptive
-  // timed behaviour for comparison.
-  return std::chrono::microseconds(0);
 }
 
 void RecoveryManager::GroupFlusherLoop() {
@@ -75,21 +59,6 @@ void RecoveryManager::GroupFlusherLoop() {
     if (gc_requested_ <= wal_->stable_lsn()) {
       if (gc_stop_) break;
       continue;  // claimed and already published between checks
-    }
-    if (!gc_stop_) {
-      // Batching window. In adaptive mode this is zero — see
-      // AdaptiveWindow(): the in-flight fsync is the window, and sleeping
-      // here on top of it only idles the device. With the fixed-window
-      // option the configured window is slept so concurrent committers can
-      // pile in behind the first one (the pre-adaptive behaviour, kept for
-      // comparison); a stop request cuts it short.
-      const auto window = AdaptiveWindow();
-      if (window.count() > 0) {
-        const auto deadline = std::chrono::steady_clock::now() + window;
-        while (!gc_stop_ &&
-               gc_cv_.WaitUntil(lock, deadline) != std::cv_status::timeout) {
-        }
-      }
     }
     const Lsn target = gc_requested_;
     // Both pool threads wake on the same demand; only one can lead. If a

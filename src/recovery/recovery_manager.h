@@ -32,7 +32,6 @@
 #define SEMCC_RECOVERY_RECOVERY_MANAGER_H_
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <map>
 #include <string>
@@ -53,28 +52,16 @@ namespace semcc {
 /// device configuration the Database uses to build the WAL.
 struct RecoveryOptions {
   /// false: every commit forces the log individually (simplest, one device
-  /// write per transaction). true: commits enqueue and a group flusher
+  /// write per transaction). true: commits enqueue and a pool of group
+  /// flushers (one per WAL pipeline slot, WriteAheadLog::kMaxInflightBatches)
   /// makes them stable together — one device write covers every commit that
-  /// arrived in the window. With a non-zero WAL flush latency this is the
-  /// classic group-commit throughput win.
+  /// arrived while the previous write was syncing. With a non-zero WAL flush
+  /// latency this is the classic group-commit throughput win. There is no
+  /// timed batching window: the in-flight device sync is the window, and a
+  /// timed wait on top only idles the device (measured: a timed window
+  /// parks every closed-loop committer before syncing, so the pipeline
+  /// never forms and group commit loses to force-per-commit).
   bool group_commit = false;
-  /// Timed batching window slept before each group flush when
-  /// adaptive_group_window is off (the pre-PR-8 fixed-window behaviour,
-  /// kept for comparison benchmarks). Ignored in adaptive mode, where the
-  /// window is always zero: the in-flight device sync is the batching
-  /// window — commits that arrive while it runs ride the next pipelined
-  /// batch — and any timed wait on top only idles the device (measured: a
-  /// timed window parks every closed-loop committer before syncing, so the
-  /// pipeline never forms and group commit loses to force-per-commit).
-  std::chrono::microseconds group_window{1000};
-  /// Flush on demand with no timed window, batching purely by absorption
-  /// into the pipelined flush (see group_window).
-  bool adaptive_group_window = true;
-  /// Number of group-flusher threads. Two pipelines the flush path: one
-  /// thread claims and encodes the next batch while the other's fsync is
-  /// still in flight (see WriteAheadLog::FlushTo). One degenerates to the
-  /// serial flusher.
-  int flusher_threads = 2;
   /// > 0: after roughly this many appended log records, a commit triggers
   /// an online fuzzy checkpoint through the trigger installed with
   /// SetCheckpointTrigger (the Database wires itself in). 0 = no automatic
@@ -92,11 +79,6 @@ struct RecoveryOptions {
   uint64_t log_segment_bytes = 4u << 20;
   /// In-memory device only: simulated stable-storage latency per sync.
   uint32_t wal_flush_micros = 0;
-  /// Flush attempts (first try + retries) before the WAL degrades to the
-  /// failed read-only state (see WalOptions).
-  int max_flush_attempts = 4;
-  /// Backoff before the first flush retry; doubles per further retry.
-  std::chrono::microseconds flush_retry_backoff{200};
 };
 
 class RecoveryManager : public StoreListener, public ActionLogger {
@@ -207,10 +189,6 @@ class RecoveryManager : public StoreListener, public ActionLogger {
   void GroupFlusherLoop() SEMCC_EXCLUDES(gc_mu_);
   /// Record a durability failure in health() (first one wins) and log it.
   void RecordFailure(const Status& st) SEMCC_EXCLUDES(gc_mu_);
-  /// The next group flush's batching window: always zero in adaptive mode
-  /// (batching happens by absorption into the in-flight sync), the
-  /// configured group_window otherwise.
-  std::chrono::microseconds AdaptiveWindow() const;
   /// Fire the checkpoint trigger if the log has grown past the configured
   /// record budget. Runs the checkpoint synchronously on the calling
   /// (committing) thread; concurrent commits proceed — only one trigger

@@ -92,6 +92,13 @@ struct WalOptions {
 
 class WriteAheadLog {
  public:
+  /// Depth of the flush pipeline: one batch syncing on the device while the
+  /// next one is being claimed and encoded. Two is the sweet spot — the
+  /// encode is much cheaper than an fsync, so a deeper pipeline only grows
+  /// batch-slot wait queues without overlapping any more work. The group
+  /// committer runs one flusher thread per slot.
+  static constexpr size_t kMaxInflightBatches = 2;
+
   /// In-memory device (the unit-test default). \param flush_micros
   /// simulated stable-storage latency per Flush (models an fsync; 0 =
   /// free). With a non-zero cost, group commit pays off — see
@@ -174,18 +181,8 @@ class WriteAheadLog {
   Lsn stable_lsn() const;
   /// Last LSN claimed by an in-flight or published batch (>= stable_lsn).
   Lsn claimed_lsn() const;
-  /// Batches currently between claim and publish (0, 1, or 2).
-  size_t inflight_batches() const;
   /// The next LSN Append would assign (cheap; for checkpoint triggers).
   Lsn next_lsn_hint() const { return next_lsn_.load(std::memory_order_relaxed); }
-
-  /// Live p50 of the flush device time and mean records per batch — the
-  /// adaptive group-window inputs (histogram snapshots; cheap relative to a
-  /// device sync).
-  uint64_t flush_p50_micros() const { return flush_micros_.Snapshot().p50; }
-  double flush_batch_mean() const {
-    return flush_batch_records_.Snapshot().mean();
-  }
 
   /// The underlying device (stats, fault-plan reconfiguration in tests).
   LogDevice* device() { return device_.get(); }

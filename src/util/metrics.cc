@@ -5,8 +5,6 @@
 #include <new>
 #include <vector>
 
-#include "util/histogram.h"
-
 namespace semcc {
 namespace metrics {
 
@@ -15,6 +13,29 @@ size_t RoundUpPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+// AtomicHistogram bucket layout: 64 exact buckets + 16 sub-buckets per
+// power of two up to 2^63.
+constexpr int kNumBuckets = 64 + 58 * 16;
+
+int BucketFor(uint64_t value) {
+  if (value < 64) return static_cast<int>(value);
+  // Exponential buckets: 16 per power of two above 64.
+  int msb = 63 - __builtin_clzll(value);
+  uint64_t base = 1ULL << msb;
+  int sub = static_cast<int>(((value - base) * 16) >> msb);
+  int bucket = 64 + (msb - 6) * 16 + sub;
+  return std::min(bucket, kNumBuckets - 1);
+}
+
+uint64_t BucketUpperBound(int bucket) {
+  if (bucket < 64) return static_cast<uint64_t>(bucket);
+  int rel = bucket - 64;
+  int msb = 6 + rel / 16;
+  int sub = rel % 16;
+  uint64_t base = 1ULL << msb;
+  return base + ((static_cast<uint64_t>(sub) + 1) << msb) / 16 - 1;
 }
 }  // namespace
 
@@ -62,8 +83,7 @@ AtomicHistogram::AtomicHistogram()
 }
 
 void AtomicHistogram::Add(uint64_t value) {
-  buckets_[Histogram::BucketFor(value)].fetch_add(1,
-                                                  std::memory_order_relaxed);
+  buckets_[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
   uint64_t cur = min_.load(std::memory_order_relaxed);
   while (value < cur &&
@@ -96,7 +116,7 @@ HistogramSummary AtomicHistogram::Snapshot() const {
     for (int i = 0; i < kNumBuckets; ++i) {
       seen += buckets[i];
       if (seen > threshold) {
-        return std::min(Histogram::BucketUpperBound(i), s.max);
+        return std::min(BucketUpperBound(i), s.max);
       }
     }
     return s.max;

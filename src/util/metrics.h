@@ -10,11 +10,11 @@
 //    individually monotonic; a summed snapshot taken while writers run is a
 //    consistent *lower bound* per counter, and exact at quiescent points.
 //
-//  * AtomicHistogram — the bounded-bucket latency histogram (same bucket
-//    layout as util/histogram.h: exact to 64, then ~4% resolution) with
-//    atomic buckets instead of a mutex. Add() is wait-free (two relaxed
-//    fetch_adds plus CAS loops for min/max); Snapshot() materializes
-//    count/sum/min/max and the p50/p90/p95/p99 percentiles in one pass.
+//  * AtomicHistogram — the bounded-bucket latency histogram (exact to 64,
+//    then ~4% resolution) with atomic buckets. Add() is wait-free (two
+//    relaxed fetch_adds plus CAS loops for min/max); Snapshot()
+//    materializes count/sum/min/max and the p50/p90/p95/p99 percentiles in
+//    one pass.
 //
 // Both are always compiled in; whether the *callers* pay anything is the
 // call sites' affair (see the instrumentation notes in cc/lock_manager.cc).
@@ -104,6 +104,9 @@ struct HistogramSummary {
 
 /// \brief Wait-free histogram over non-negative values (e.g. microseconds).
 ///
+/// Exponentially sized buckets: exact up to 64, then ~4% resolution. A
+/// percentile reports its bucket's upper bound, clamped to the exact max.
+///
 /// Memory-ordering contract: bucket/sum increments are relaxed; the count
 /// increment is a release and Snapshot() loads the count with acquire
 /// *first*, so every event counted by a snapshot has its bucket increment
@@ -119,10 +122,6 @@ class AtomicHistogram {
   HistogramSummary Snapshot() const;
 
  private:
-  // Matches util/histogram.h: 64 exact buckets + 16 sub-buckets per power
-  // of two up to 2^63.
-  static constexpr int kNumBuckets = 64 + 58 * 16;
-
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{~uint64_t{0}};

@@ -242,9 +242,9 @@ TEST_F(LockFastPathTest, WarmCacheDoesNotBypassEarlierConflictingWaiter) {
   // requests Fa, which commutes with A's granted locks but must still queue
   // behind B's earlier conflicting request, and (2) A itself requests Fa a
   // third time, which must queue behind B for the same reason (paper
-  // footnote 5).
+  // footnote 5). A3's wait closes the cycle A3 -> B -> A, and the deadlock
+  // detector breaks it by aborting B, the younger root.
   ProtocolOptions o;
-  o.deadlock_detection = false;  // A->B->A wait cycle is broken manually
   o.wait_timeout = std::chrono::milliseconds(20000);
   auto lm = std::make_unique<LockManager>(o, &compat);
 
@@ -274,22 +274,20 @@ TEST_F(LockFastPathTest, WarmCacheDoesNotBypassEarlierConflictingWaiter) {
   while (lm->NumWaiters() != 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // No spin for three waiters here: the detector may abort B before a
+  // third waiter is ever observed. Once B is gone, C and A3 must be granted
+  // (their remaining verdicts are all nil).
   std::thread thread_a3([&]() {
     st_a3 = lm->Acquire(a3, LockTarget::ForObject(kObjF), true);
   });
-  while (lm->NumWaiters() != 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // All three are genuinely queued: C despite commuting with every granted
-  // lock, and A despite already holding two identical grants.
-  EXPECT_GE(lm->stats().blocked_acquires, 3u);
-
-  // Break the B<->A wait cycle by aborting B; C and A must then be granted
-  // (their remaining verdicts are all nil).
-  lm->OnAbortRequested(tb.root());
+  thread_a3.join();
   thread_b.join();
   thread_c.join();
-  thread_a3.join();
+  // All three were genuinely queued: C despite commuting with every granted
+  // lock, and A despite already holding two identical grants.
+  const LockStats ls = lm->stats();
+  EXPECT_GE(ls.blocked_acquires, 3u);
+  EXPECT_GE(ls.deadlocks, 1u);
   EXPECT_TRUE(st_b.IsAborted()) << st_b.ToString();
   EXPECT_TRUE(st_c.ok()) << st_c.ToString();
   EXPECT_TRUE(st_a3.ok()) << st_a3.ToString();
@@ -358,8 +356,9 @@ TEST_F(LockManagerTest, DeadlockDetectedAndYoungestVictimChosen) {
 }
 
 TEST_F(LockManagerTest, WaitTimeoutFiresWithoutDetection) {
+  // A plain conflict with no wait cycle: the deadlock detector finds
+  // nothing to break, so only wait_timeout ends the wait.
   ProtocolOptions o;
-  o.deadlock_detection = false;
   o.wait_timeout = std::chrono::milliseconds(150);
   auto lm = std::make_unique<LockManager>(o, &compat);
   TxnTree t1(TxnTree::NextId(), "T1", kDatabaseOid, 0);

@@ -375,13 +375,14 @@ TEST_F(FileDeviceTest, TruncateRepairsAcrossSegments) {
 }
 
 TEST_F(FileDeviceTest, TornTailOnDiskIsTruncatedAtRestart) {
-  // preallocate=false keeps the physical file size equal to the logical
-  // content, so the final byte-exact FileSize assertion is meaningful; the
-  // preallocated variant is covered below.
-  FileLogDeviceOptions fopts;
-  fopts.preallocate = false;
+  // A crash left half a frame past the segment's zero padding, at the
+  // physical end of the file. Recovery must drop the padding and the torn
+  // bytes, and the repair must scrub the file back to zeros after the valid
+  // frames so the torn bytes cannot resurface. (A torn overwrite at the
+  // logical end, inside the padding, is covered below.)
+  const std::string path = dir_ + "/wal-000001.log";
   {
-    auto device = FileLogDevice::Open(dir_, fopts);
+    auto device = FileLogDevice::Open(dir_, {});
     ASSERT_TRUE(device.ok());
     WriteAheadLog wal(std::move(device).ValueUnsafe(), FastRetryOptions());
     ASSERT_TRUE(wal.RecoverAtStartup().ok());
@@ -392,25 +393,28 @@ TEST_F(FileDeviceTest, TornTailOnDiskIsTruncatedAtRestart) {
   // Crash left half a frame on disk.
   {
     PosixWritableFile f;
-    ASSERT_TRUE(f.Open(dir_ + "/wal-000001.log").ok());
+    ASSERT_TRUE(f.Open(path).ok());
     ASSERT_TRUE(f.Append("\x40\x00\x00\x00torn", 8).ok());
     ASSERT_TRUE(f.Sync().ok());
   }
-  auto device = FileLogDevice::Open(dir_, fopts);
+  auto device = FileLogDevice::Open(dir_, {});
   ASSERT_TRUE(device.ok());
   WriteAheadLog wal(std::move(device).ValueUnsafe(), FastRetryOptions());
   auto recovered = wal.RecoverAtStartup();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered.ValueOrDie().size(), 2u);
-  // The file itself was repaired.
-  EXPECT_EQ(FileSize(dir_ + "/wal-000001.log").ValueOrDie(),
-            wal.stable_bytes());
+  // The file itself was repaired: only zeros follow the valid frames.
+  std::string on_disk;
+  ASSERT_TRUE(ReadFileToString(path, &on_disk).ok());
+  ASSERT_GE(on_disk.size(), wal.stable_bytes());
+  EXPECT_EQ(on_disk.find_first_not_of('\0', wal.stable_bytes()),
+            std::string::npos);
 }
 
 TEST_F(FileDeviceTest, TornOverwriteInPreallocatedSegmentIsRepaired) {
-  // With preallocation (the default), appends overwrite zero padding in
-  // place, so a crash mid-append tears the frame at the *logical* end with
-  // megabytes of padding after it. Recovery must drop the torn bytes, keep
+  // Appends overwrite the segment's zero padding in place, so a crash
+  // mid-append tears the frame at the *logical* end with megabytes of
+  // padding after it. Recovery must drop the torn bytes, keep
   // the padding contract intact, and be idempotent across a second restart.
   uint64_t stable = 0;
   {
@@ -484,23 +488,23 @@ TEST_F(FileDeviceTest, SegmentGapRefused) {
 // --- group commit ---------------------------------------------------------
 
 TEST(GroupCommit, ShutdownDrainsPendingCommits) {
-  // A committer that is still waiting for the group window when the
-  // flusher is told to stop must be flushed out (or failed) — never left
-  // asleep. The old code could join the flusher first and strand it.
-  WriteAheadLog wal;
+  // A committer whose group flush is still in flight when the flusher pool
+  // is told to stop must be flushed out (or failed) — never left asleep.
+  // The slow sync makes Shutdown() land in the middle of the commit's
+  // flush.
+  WriteAheadLog wal(/*flush_micros=*/300000);
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.group_window = std::chrono::seconds(5);  // longer than the test
   RecoveryManager manager(&wal, opts);
   auto commit = std::async(std::launch::async, [&]() {
     manager.OnTxnCommit(1);  // blocks in MakeStable until stable or failed
   });
-  // Let the committer append its record and reach the group wait, then
-  // shut down underneath it.
-  while (wal.total_count() == 0) {
+  // Wait until a flusher has claimed the commit record (its sync is now
+  // running), then shut down underneath it.
+  while (wal.claimed_lsn() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(wal.stable_count(), 0u) << "flush ended before Shutdown()";
   manager.Shutdown();
   ASSERT_EQ(commit.wait_for(std::chrono::seconds(10)),
             std::future_status::ready)
@@ -518,7 +522,6 @@ TEST(GroupCommit, RequestDuringInFlightFlushIsNotLost) {
   WriteAheadLog wal(/*flush_micros=*/20000);
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.group_window = std::chrono::microseconds(1);
   RecoveryManager manager(&wal, opts);
   auto first = std::async(std::launch::async, [&]() { manager.OnTxnCommit(1); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));  // mid-flush
@@ -542,7 +545,6 @@ TEST(GroupCommit, FlushFailureFailsWaitersInsteadOfHanging) {
   fi->SetPlan(plan);
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.group_window = std::chrono::microseconds(100);
   RecoveryManager manager(&wal, opts);
   auto commit = std::async(std::launch::async, [&]() { manager.OnTxnCommit(1); });
   ASSERT_EQ(commit.wait_for(std::chrono::seconds(10)),
@@ -654,8 +656,6 @@ TEST(GroupCommit, FlusherPoolDeathFailsWaiters) {
   fi->SetPlan(plan);
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.flusher_threads = 2;
-  opts.group_window = std::chrono::microseconds(100);
   RecoveryManager manager(&wal, opts);
   std::vector<std::future<void>> commits;
   for (TxnId txn = 1; txn <= 4; ++txn) {
@@ -680,8 +680,6 @@ TEST(GroupCommit, TransientEioMidPipelineRecovers) {
   WriteAheadLog wal(std::move(injector), FastRetryOptions(4));
   RecoveryOptions opts;
   opts.group_commit = true;
-  opts.flusher_threads = 2;
-  opts.adaptive_group_window = true;
   RecoveryManager manager(&wal, opts);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;

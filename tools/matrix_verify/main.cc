@@ -5,10 +5,9 @@
 // the standard ADTs — which register exact generic-op footprints for their
 // keyed sets, so the derived Orders/QueueEntries cells are covered) into a
 // scratch in-memory database and runs cc/matrix_verifier.h over it: cell
-// symmetry, registration/dense agreement, args_sensitive soundness,
-// predicate symmetry + determinism, matrix totality (the retained-lock
-// closure property the ancestor-commutativity walk relies on), and
-// spec-derivation agreement (every cell between two exact footprints must
+// symmetry, registration/dense agreement, predicate symmetry +
+// determinism, matrix totality (the retained-lock closure property the
+// ancestor-commutativity walk relies on), and spec-derivation agreement (every cell between two exact footprints must
 // re-derive to itself, derived predicates must track SpecsCommute, and
 // derivation from the generic footprints must reproduce the built-in
 // generic key rules).
