@@ -294,7 +294,7 @@ void RecoveryManager::OnTxnBegin(TxnId txn) {
   if (lsn != kInvalidLsn) active_txn_begin_.emplace(txn, lsn);
 }
 
-void RecoveryManager::OnTxnCommit(TxnId txn) {
+Status RecoveryManager::OnTxnCommit(TxnId txn) {
   LogRecord rec;
   rec.type = LogType::kTxnCommit;
   rec.txn = txn;
@@ -303,7 +303,7 @@ void RecoveryManager::OnTxnCommit(TxnId txn) {
   const Status st = MakeStable(lsn);
   if (!st.ok()) {
     RecordFailure(st);
-    return;  // still possibly a loser: keep it pinned in the active map
+    return st;  // still possibly a loser: keep it pinned in the active map
   }
   {
     // Only now — with the commit record stable — may a checkpoint truncate
@@ -312,6 +312,7 @@ void RecoveryManager::OnTxnCommit(TxnId txn) {
     active_txn_begin_.erase(txn);
   }
   MaybeTriggerCheckpoint();
+  return Status::OK();
 }
 
 void RecoveryManager::OnTxnAbort(TxnId txn) {
@@ -343,11 +344,11 @@ LogRecord RecoveryManager::ActionBase(const SubTxn& node, LogType type) {
   return rec;
 }
 
-void RecoveryManager::OnMethodCommitted(const SubTxn& node, const Value& result,
-                                        bool has_total_inverse) {
+void RecoveryManager::OnMethodCommitted(const SubTxn& node,
+                                        const Value& result) {
   LogRecord rec = ActionBase(node, LogType::kMethodCommit);
   rec.value = result;
-  rec.flag = has_total_inverse;
+  rec.flag = true;  // has a total inverse: restart compensates through it
   wal_->Append(std::move(rec));
 }
 

@@ -52,7 +52,8 @@ namespace semcc {
 /// device configuration the Database uses to build the WAL.
 struct RecoveryOptions {
   /// false: every commit forces the log individually (simplest, one device
-  /// write per transaction). true: commits enqueue and a pool of group
+  /// write per updating transaction; a transaction that logged nothing has
+  /// no commit record to force). true: commits enqueue and a pool of group
   /// flushers (one per WAL pipeline slot, WriteAheadLog::kMaxInflightBatches)
   /// makes them stable together — one device write covers every commit that
   /// arrived while the previous write was syncing. With a non-zero WAL flush
@@ -102,12 +103,10 @@ class RecoveryManager : public StoreListener, public ActionLogger {
   // --- ActionLogger (transactional undo stratum) -------------------------
   void OnTxnBegin(TxnId txn) override;
   /// Forces the log (individually or via group commit). A durability
-  /// failure cannot stop the in-memory commit — the interface is void — so
-  /// it is recorded sticky in health() and logged loudly instead.
-  void OnTxnCommit(TxnId txn) override;
+  /// failure is returned, and also recorded sticky in health() and logged.
+  Status OnTxnCommit(TxnId txn) override;
   void OnTxnAbort(TxnId txn) override;
-  void OnMethodCommitted(const SubTxn& node, const Value& result,
-                         bool has_total_inverse) override;
+  void OnMethodCommitted(const SubTxn& node, const Value& result) override;
   void OnLeafPut(const SubTxn& node, const Value& before) override;
   void OnLeafSetInsert(const SubTxn& node) override;
   void OnLeafSetRemove(const SubTxn& node, Oid removed_member) override;

@@ -22,7 +22,7 @@ BufferPool::~BufferPool() {
   }
 }
 
-Result<size_t> BufferPool::Pin(PageId id, bool* hit) {
+Result<size_t> BufferPool::Pin(PageId id, bool fresh) {
   MutexLock guard(mu_);
   auto it = page_table_.find(id);
   if (it != page_table_.end()) {
@@ -35,11 +35,9 @@ Result<size_t> BufferPool::Pin(PageId id, bool* hit) {
       lru_pos_.erase(pos);
     }
     f->pin_count++;
-    *hit = true;
     hits_.fetch_add(1, std::memory_order_relaxed);
     return idx;
   }
-  *hit = false;
   misses_.fetch_add(1, std::memory_order_relaxed);
   size_t idx;
   if (!free_frames_.empty()) {
@@ -60,6 +58,18 @@ Result<size_t> BufferPool::Pin(PageId id, bool* hit) {
     page_table_.erase(victim->disk_id);
   }
   Frame* f = frames_[idx].get();
+  // Fill the frame before page_table_ publishes it: a concurrent Pin of
+  // `id` returns as soon as it finds the entry, and must not see the
+  // frame's previous page.
+  if (fresh) {
+    f->page.Reset(id);
+  } else {
+    const Status st = disk_->ReadPage(id, f->page.data());
+    if (!st.ok()) {
+      free_frames_.push_back(idx);
+      return st;
+    }
+  }
   f->disk_id = id;
   f->pin_count = 1;
   f->dirty = false;
@@ -80,27 +90,15 @@ void BufferPool::Unpin(size_t frame_idx, bool dirty) {
 
 Result<PageGuard> BufferPool::NewPage() {
   const PageId id = disk_->AllocatePage();
-  bool hit = false;
-  SEMCC_ASSIGN_OR_RETURN(size_t idx, Pin(id, &hit));
-  Frame* f = frames_[idx].get();
-  f->page.Reset(id);
-  PageGuard guard(this, idx, &f->page);
+  SEMCC_ASSIGN_OR_RETURN(size_t idx, Pin(id, /*fresh=*/true));
+  PageGuard guard(this, idx, &frames_[idx]->page);
   guard.MarkDirty();
   return guard;
 }
 
 Result<PageGuard> BufferPool::FetchPage(PageId id) {
-  bool hit = false;
-  SEMCC_ASSIGN_OR_RETURN(size_t idx, Pin(id, &hit));
-  Frame* f = frames_[idx].get();
-  if (!hit) {
-    Status st = disk_->ReadPage(id, f->page.data());
-    if (!st.ok()) {
-      Unpin(idx, /*dirty=*/false);
-      return st;
-    }
-  }
-  return PageGuard(this, idx, &f->page);
+  SEMCC_ASSIGN_OR_RETURN(size_t idx, Pin(id, /*fresh=*/false));
+  return PageGuard(this, idx, &frames_[idx]->page);
 }
 
 Status BufferPool::FlushAll() {

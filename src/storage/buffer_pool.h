@@ -58,9 +58,10 @@ class BufferPool {
   void Unpin(size_t frame_idx, bool dirty) SEMCC_EXCLUDES(mu_);
 
   /// Find a frame for `id`: hit, free frame, or LRU eviction. Returns the
-  /// frame index with pin_count already incremented. Caller must load/init
-  /// the page if `*loaded` is false.
-  Result<size_t> Pin(PageId id, bool* hit) SEMCC_EXCLUDES(mu_);
+  /// frame index with pin_count already incremented. On a miss the frame is
+  /// filled under mu_ before any other Pin can find it: reset to an empty
+  /// page when `fresh` (a newly allocated id), else read from disk.
+  Result<size_t> Pin(PageId id, bool fresh) SEMCC_EXCLUDES(mu_);
 
   DiskManager* const disk_;
   Mutex mu_;

@@ -16,6 +16,12 @@ void TxnCtx::NoteWrite(Oid oid, bool is_set) {
   }
 }
 
+void TxnCtx::LogBegin() {
+  if (logger_ == nullptr || logged_) return;
+  logger_->OnTxnBegin(root()->id());
+  logged_ = true;
+}
+
 void TxnCtx::TraceSnapshotRead(const SubTxn* node, uint64_t observed_ts) {
   if (!trace::Active(lm_->options().trace)) return;
   trace::Event e;
@@ -161,8 +167,11 @@ Result<Value> TxnCtx::Invoke(Oid obj, const std::string& method, Args args) {
     total = true;
   }
   CommitAction(node, std::move(inverse), total);
-  if (logger_ != nullptr) {
-    logger_->OnMethodCommitted(*node, result.ValueOrDie(), total);
+  // Restart reads only the records of methods it can compensate; a method
+  // without an inverse leaves its leaves' undo records to speak for it.
+  if (total && logger_ != nullptr) {
+    LogBegin();
+    logger_->OnMethodCommitted(*node, result.ValueOrDie());
   }
   return result;
 }
@@ -216,7 +225,10 @@ Status TxnCtx::Put(Oid atomic, const Value& value) {
   // the log — a crash between the two would otherwise replay the write
   // with no undo information. The Get above proved the Put will apply;
   // should it still fail, the logged undo rewrites the unchanged value.
-  if (logger_ != nullptr) logger_->OnLeafPut(*node, old_value);
+  if (logger_ != nullptr) {
+    LogBegin();
+    logger_->OnLeafPut(*node, old_value);
+  }
   Status st = store_->Put(atomic, value);
   if (!st.ok()) {
     AbortAction(node);
@@ -265,7 +277,10 @@ Status TxnCtx::SetInsert(Oid set, const Value& key, Oid member) {
     return existing.status();
   }
   // Write-ahead: undo record before the physical redo record (see Put).
-  if (logger_ != nullptr) logger_->OnLeafSetInsert(*node);
+  if (logger_ != nullptr) {
+    LogBegin();
+    logger_->OnLeafSetInsert(*node);
+  }
   Status st = store_->SetInsert(set, key, member);
   if (!st.ok()) {
     AbortAction(node);
@@ -302,7 +317,10 @@ Status TxnCtx::SetRemove(Oid set, const Value& key) {
   // Write-ahead: undo record before the physical redo record (see Put).
   // The SetSelect above proved the remove will apply; recovery tolerates
   // a re-insert of a still-present member just in case.
-  if (logger_ != nullptr) logger_->OnLeafSetRemove(*node, saved_member);
+  if (logger_ != nullptr) {
+    LogBegin();
+    logger_->OnLeafSetRemove(*node, saved_member);
+  }
   Status st = store_->SetRemove(set, key);
   if (!st.ok()) {
     AbortAction(node);
@@ -461,6 +479,9 @@ Result<Oid> TxnCtx::CreateAtomic(TypeId type, const Value& initial) {
   if (snapshot_mode()) {
     return Status::PreconditionFailed("Create in snapshot-read transaction");
   }
+  // A creating tree forces its commit: the create's redo record must be
+  // stable when the commit returns.
+  LogBegin();
   SEMCC_ASSIGN_OR_RETURN(Oid oid, store_->CreateAtomic(type, initial));
   // Creation needs no lock: the new object is unreachable by other
   // transactions until linked into a locked set. The enclosing method's
@@ -473,6 +494,7 @@ Result<Oid> TxnCtx::CreateTuple(
   if (snapshot_mode()) {
     return Status::PreconditionFailed("Create in snapshot-read transaction");
   }
+  LogBegin();
   return store_->CreateTuple(type, std::move(components));
 }
 
@@ -480,6 +502,7 @@ Result<Oid> TxnCtx::CreateSet(TypeId type) {
   if (snapshot_mode()) {
     return Status::PreconditionFailed("Create in snapshot-read transaction");
   }
+  LogBegin();
   return store_->CreateSet(type);
 }
 

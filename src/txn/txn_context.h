@@ -32,18 +32,28 @@
 namespace semcc {
 
 /// \brief Observer of transactional events, used by the write-ahead log for
-/// multi-level recovery. All callbacks run on the transaction's own thread,
-/// after the corresponding action committed.
+/// multi-level recovery. All callbacks run on the transaction's own thread.
+///
+/// A tree is logged only once it updates something. TxnCtx calls OnTxnBegin
+/// lazily, just before the tree's first OnLeafPut, OnLeafSetInsert,
+/// OnLeafSetRemove, OnMethodCommitted or object creation, and the
+/// transaction manager calls OnTxnCommit or OnTxnAbort only for a tree that
+/// logged (TxnCtx::logged()), before it releases the tree's locks. A
+/// read-only tree produces no record and waits for no log force (DESIGN
+/// §5.3, "Read-only commits").
 class ActionLogger {
  public:
   virtual ~ActionLogger() = default;
   virtual void OnTxnBegin(TxnId txn) = 0;
-  /// Must force the log (commit durability point).
-  virtual void OnTxnCommit(TxnId txn) = 0;
+  /// Must force the log (commit durability point). A non-OK result means
+  /// the commit record is not stable; the transaction manager returns it
+  /// to the caller instead of reporting a commit.
+  virtual Status OnTxnCommit(TxnId txn) = 0;
   /// Written after compensation completed, so restart will not re-undo.
   virtual void OnTxnAbort(TxnId txn) = 0;
-  virtual void OnMethodCommitted(const SubTxn& node, const Value& result,
-                                 bool has_total_inverse) = 0;
+  /// Called only for a method with a registered (total) inverse, after it
+  /// committed: the only method record restart reads.
+  virtual void OnMethodCommitted(const SubTxn& node, const Value& result) = 0;
   virtual void OnLeafPut(const SubTxn& node, const Value& before) = 0;
   virtual void OnLeafSetInsert(const SubTxn& node) = 0;
   virtual void OnLeafSetRemove(const SubTxn& node, Oid removed_member) = 0;
@@ -121,6 +131,10 @@ class TxnCtx {
   /// dedup). The transaction manager passes this to
   /// VersionedObjectStore::OnTxnEnd once the tree is finished.
   const std::set<Oid>& write_set() const { return written_; }
+  /// True once this tree appended its begin record, i.e. it logged an
+  /// update or an object creation. Only such a tree logs (and forces) its
+  /// commit or abort.
+  bool logged() const { return logged_; }
 
   /// Compensate all committed work of the tree, in reverse completion order,
   /// running inverses as new subtransactions of this (same) transaction.
@@ -140,6 +154,9 @@ class TxnCtx {
                     bool inverse_is_total);
   void AbortAction(SubTxn* node);
   void Compensate(SubTxn* node);
+  /// Append the tree's begin record before its first record; later calls
+  /// do nothing. No-op without a logger.
+  void LogBegin();
 
   /// First-write hook: report `oid` to the version store once per
   /// transaction, BEFORE the physical write (the ordering the snapshot
@@ -156,6 +173,7 @@ class TxnCtx {
   VersionedObjectStore* const versions_;
   SubTxn* current_;
   bool in_compensation_ = false;
+  bool logged_ = false;
   uint64_t compensation_failures_ = 0;
   std::set<Oid> written_;
 };

@@ -80,7 +80,7 @@ TxnStats TxnManager::stats() const {
 }
 
 Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
-                                     TxnId priority) {
+                                     TxnId priority, bool* committed) {
   TxnTree tree(TxnTree::NextId(), name, kDatabaseOid, Schema::kDatabaseTypeId);
   SubTxn* root = tree.root();
   if (priority != 0) root->set_priority(priority);
@@ -92,7 +92,6 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
   counters_.Inc(stripe, kCtrBegins);
   if (tracing) EmitTxnEvent(trace::EventKind::kTxnBegin, root->id(), name, 0);
 
-  if (logger_ != nullptr) logger_->OnTxnBegin(root->id());
   Result<Value> result = body(ctx);
   const bool commit = result.ok() && !root->abort_requested();
   if (commit) {
@@ -104,12 +103,17 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
     // transaction is no longer an active writer.
     if (versions_ != nullptr) versions_->OnTxnEnd(root->id(), ctx.write_set());
     if (recorder_ != nullptr) recorder_->RecordTree(&tree, /*committed=*/true);
-    if (logger_ != nullptr) logger_->OnTxnCommit(root->id());
+    // Force before the locks go, so nobody reads this tree's updates before
+    // they are stable. A tree that logged nothing has nothing to force.
+    const Status durable =
+        ctx.logged() ? logger_->OnTxnCommit(root->id()) : Status::OK();
     lm_->ReleaseTree(root);
+    *committed = true;
     counters_.Inc(stripe, kCtrCommits);
     if (tracing) {
       EmitTxnEvent(trace::EventKind::kTxnCommit, root->id(), name, 0);
     }
+    if (!durable.ok()) return durable;
     return result;
   }
 
@@ -125,7 +129,7 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
   // counts MUST be released either way or entangled commits never install.
   if (versions_ != nullptr) versions_->OnTxnEnd(root->id(), ctx.write_set());
   if (recorder_ != nullptr) recorder_->RecordTree(&tree, /*committed=*/false);
-  if (logger_ != nullptr) logger_->OnTxnAbort(root->id());
+  if (ctx.logged()) logger_->OnTxnAbort(root->id());
   lm_->ReleaseTree(root);
   counters_.Inc(stripe, kCtrAborts);
   if (tracing) EmitTxnEvent(trace::EventKind::kTxnAbort, root->id(), name, 0);
@@ -136,7 +140,8 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
 }
 
 Result<Value> TxnManager::RunOnce(const std::string& name, const Body& body) {
-  return RunAttempt(name, body, /*priority=*/0);
+  bool committed = false;
+  return RunAttempt(name, body, /*priority=*/0, &committed);
 }
 
 Result<Value> TxnManager::RunSnapshot(const std::string& name,
@@ -199,8 +204,11 @@ Result<Value> TxnManager::Run(const std::string& name, const Body& body,
   TxnId priority = 0;
   for (int attempt = 0;; ++attempt) {
     if (priority == 0) priority = TxnTree::NextId();
-    Result<Value> r = RunAttempt(name, body, priority);
-    if (r.ok()) return r;
+    bool committed = false;
+    Result<Value> r = RunAttempt(name, body, priority, &committed);
+    // A commit whose log force failed is final: its updates stay applied,
+    // so running the body again would apply them twice.
+    if (r.ok() || committed) return r;
     if (!Retryable(r.status()) || attempt >= max_retries) {
       if (!Retryable(r.status())) {
         counters_.Inc(metrics::ThreadStripeSlot(), kCtrAppErrors);

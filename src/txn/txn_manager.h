@@ -48,7 +48,10 @@ class TxnManager {
   /// Execute `body` as a top-level transaction named `name`.
   ///
   /// On success the transaction commits: all its locks are released and its
-  /// tree is recorded in the history. On failure (including deadlock-victim
+  /// tree is recorded in the history. A tree that logged an update forces
+  /// its commit record first; if that force fails, the commit's error is
+  /// returned and not retried (the updates stay applied in memory, but are
+  /// not durable). On failure (including deadlock-victim
   /// aborts) all committed subtransactions are compensated in reverse order
   /// and — for system-induced aborts (Deadlock/Aborted/TimedOut) — the body
   /// is re-executed up to `max_retries` times with exponential backoff.
@@ -88,8 +91,10 @@ class TxnManager {
     kCtrCount,
   };
 
+  /// Sets `*committed` once the tree committed. Its result is then OK or
+  /// the failure to make the commit record stable.
   Result<Value> RunAttempt(const std::string& name, const Body& body,
-                           TxnId priority);
+                           TxnId priority, bool* committed);
 
   ObjectStore* const store_;
   LockManager* const lm_;

@@ -192,7 +192,6 @@ TEST_F(RecoveryTest, LoserShipOrderIsCompensatedAtRestart) {
     TxnTree tree(TxnTree::NextId(), "loser", kDatabaseOid,
                  Schema::kDatabaseTypeId);
     TxnCtx ctx(db->store(), db->locks(), db->methods(), &tree, db->recovery());
-    db->recovery()->OnTxnBegin(tree.root()->id());
     ASSERT_TRUE(ctx.Invoke(item, "ShipOrder", {Value(1)}).ok());
     ASSERT_TRUE(db->wal()->Flush().ok());  // work reached disk, commit did not
   }
@@ -229,7 +228,6 @@ TEST_F(RecoveryTest, LoserUndoPreservesWinnersCommutingUpdate) {
     TxnTree tree(TxnTree::NextId(), "loser", kDatabaseOid,
                  Schema::kDatabaseTypeId);
     TxnCtx ctx(db->store(), db->locks(), db->methods(), &tree, db->recovery());
-    db->recovery()->OnTxnBegin(tree.root()->id());
     ASSERT_TRUE(ctx.Invoke(item, "ShipOrder", {Value(1)}).ok());
     // Winner pays the same order while the loser is still in flight — legal,
     // ShipOrder and PayOrder commute (Figure 2).
@@ -264,7 +262,6 @@ TEST_F(RecoveryTest, LoserNewOrderRemovedAtRestart) {
     TxnTree tree(TxnTree::NextId(), "loser", kDatabaseOid,
                  Schema::kDatabaseTypeId);
     TxnCtx ctx(db->store(), db->locks(), db->methods(), &tree, db->recovery());
-    db->recovery()->OnTxnBegin(tree.root()->id());
     auto ono = ctx.Invoke(item, "NewOrder", {Value(9), Value(4)});
     ASSERT_TRUE(ono.ok());
     EXPECT_EQ(ono.ValueOrDie().AsInt(), 3);
@@ -295,7 +292,6 @@ TEST_F(RecoveryTest, UncommittedLeafOnlyWorkIsPhysicallyUndone) {
     TxnTree tree(TxnTree::NextId(), "loser", kDatabaseOid,
                  Schema::kDatabaseTypeId);
     TxnCtx ctx(db->store(), db->locks(), db->methods(), &tree, db->recovery());
-    db->recovery()->OnTxnBegin(tree.root()->id());
     ASSERT_TRUE(ctx.Put(status_atom, Value(int64_t{3})).ok());  // raw bypass
     ASSERT_TRUE(db->wal()->Flush().ok());
   }
@@ -327,7 +323,6 @@ TEST_F(RecoveryTest, VolatileTailLossDropsUnflushedWork) {
     TxnTree tree(TxnTree::NextId(), "loser", kDatabaseOid,
                  Schema::kDatabaseTypeId);
     TxnCtx ctx(db->store(), db->locks(), db->methods(), &tree, db->recovery());
-    db->recovery()->OnTxnBegin(tree.root()->id());
     ASSERT_TRUE(ctx.Invoke(data.item_oids[0], "ShipOrder", {Value(1)}).ok());
   }
   db->wal()->LoseVolatileTail();
@@ -454,6 +449,150 @@ TEST_F(RecoveryTest, GroupCommitIsDurableAndBatchesFlushes) {
   Oid item = db2->store()->SetSelect(items, Value(1)).ValueOrDie();
   Oid o1 = FindOrder(db2.get(), item, 1).ValueOrDie();
   EXPECT_EQ(ReadStatusRaw(db2.get(), o1).ValueOrDie(), kEventPaidBit);
+}
+
+TEST_F(RecoveryTest, ReadOnlyTransactionsLeaveTheLogAlone) {
+  // A transaction that updates nothing has nothing to make durable: it
+  // appends no record and waits for no log sync. A writer logs its begin
+  // record lazily, just before its first undo record.
+  DatabaseOptions options;
+  options.enable_wal = true;
+  options.recovery.group_commit = true;
+  Database db(options);
+  auto types = Install(&db).ValueOrDie();
+  LoadSpec spec;
+  spec.num_items = 2;
+  spec.orders_per_item = 2;
+  auto data = Load(&db, types, spec).ValueOrDie();
+  ASSERT_TRUE(db.wal()->Flush().ok());
+  Oid a = data.item_oids[0];
+  Oid b = data.item_oids[1];
+
+  const WalStats before = db.wal()->stats();
+  ASSERT_TRUE(db.RunTransaction("t3", T3_CheckShipment(a, 1, b, 2)).ok());
+  ASSERT_TRUE(db.RunTransaction("t4", T4_CheckPayment(a, 1, b, 2)).ok());
+  ASSERT_TRUE(db.RunTransaction("t5", T5_TotalPayment(a)).ok());
+  auto refused =
+      db.RunTransaction("read-error", [&](TxnCtx& ctx) -> Result<Value> {
+        SEMCC_RETURN_NOT_OK(ctx.Invoke(a, "TotalPayment", {}).status());
+        return Status::InvalidArgument("application error after a read");
+      });
+  EXPECT_TRUE(refused.status().IsInvalidArgument());
+  const WalStats after_reads = db.wal()->stats();
+  EXPECT_EQ(after_reads.appends, before.appends);
+  EXPECT_EQ(after_reads.flushes, before.flushes);
+
+  ASSERT_TRUE(db.RunTransaction("t2", T2_PayTwoOrders(a, 1, b, 2)).ok());
+  EXPECT_EQ(db.wal()->stable_count(), db.wal()->total_count());
+  auto records = db.wal()->StableRecords().ValueOrDie();
+  ASSERT_GT(records.size(), before.appends + 2);
+  // The writer's records follow the loaded prefix: begin first, then its
+  // undo records, and its stable commit last.
+  const LogRecord& begin = records[before.appends];
+  ASSERT_EQ(begin.type, LogType::kTxnBegin);
+  const LogRecord& first_undo = records[before.appends + 1];
+  EXPECT_TRUE(first_undo.type == LogType::kLeafPut ||
+              first_undo.type == LogType::kLeafSetInsert ||
+              first_undo.type == LogType::kLeafSetRemove ||
+              first_undo.type == LogType::kMethodCommit)
+      << static_cast<int>(first_undo.type);
+  EXPECT_EQ(first_undo.txn, begin.txn);
+  EXPECT_EQ(records.back().type, LogType::kTxnCommit);
+  EXPECT_EQ(records.back().txn, begin.txn);
+}
+
+TEST_F(RecoveryTest, CommutingReaderOfLoserNeedsNoForce) {
+  // A reader admitted past an uncommitted writer through a commuting
+  // ancestor pair (Case 1) does not depend on that writer, so it may
+  // commit without forcing the writer's records: whatever restart does to
+  // the loser, the reader's answer stands.
+  DatabaseOptions options;
+  options.enable_wal = true;
+  options.recovery.group_commit = true;
+  Database db(options);
+  auto types = Install(&db).ValueOrDie();
+  LoadSpec spec;
+  spec.num_items = 2;
+  spec.orders_per_item = 2;
+  spec.initial_qoh = 50;
+  spec.pre_paid = 1.0;  // the reader's answer is "paid", not the default 0
+  auto data = Load(&db, types, spec).ValueOrDie();
+  Oid item = data.item_oids[0];
+
+  Result<Value> answer = Status::Internal("T4 did not run");
+  {
+    TxnTree tree(TxnTree::NextId(), "loser", kDatabaseOid,
+                 Schema::kDatabaseTypeId);
+    TxnCtx ctx(db.store(), db.locks(), db.methods(), &tree, db.recovery());
+    ASSERT_TRUE(ctx.Invoke(item, "ShipOrder", {Value(1)}).ok());
+    ASSERT_TRUE(db.wal()->Flush().ok());  // work reached disk, commit did not
+
+    const uint64_t case1_before = db.locks()->stats().case1_grants;
+    const uint64_t appends_before = db.wal()->stats().appends;
+    // TestStatus(paid) commutes with the loser's committed
+    // ChangeStatus(shipped), so T4's read of the Status atom the loser
+    // wrote is granted through Case 1.
+    answer = db.RunTransaction("t4", T4_CheckPayment(item, 1,
+                                                     data.item_oids[1], 1));
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_GE(db.locks()->stats().case1_grants - case1_before, 1u);
+    EXPECT_EQ(db.wal()->stats().appends, appends_before);
+  }
+
+  auto db2 = MakeRecoveryTarget();
+  auto stats = db2->RecoverFrom(db.wal()->StableRecords().ValueOrDie());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.ValueOrDie().losers, 1u);
+  EXPECT_GE(stats.ValueOrDie().inverses_run, 1u);
+  Oid items = db2->GetNamedRoot("Items").ValueOrDie();
+  Oid item2 = db2->store()->SetSelect(items, Value(1)).ValueOrDie();
+  Oid o1 = FindOrder(db2.get(), item2, 1).ValueOrDie();
+  const int64_t status = ReadStatusRaw(db2.get(), o1).ValueOrDie();
+  EXPECT_EQ(status & kEventShippedBit, 0) << "loser compensated";
+  const bool recovered_paid = (status & kEventPaidBit) != 0;
+  EXPECT_EQ((answer.ValueOrDie().AsInt() & 1) != 0, recovered_paid);
+  EXPECT_TRUE(recovered_paid);
+}
+
+TEST_F(RecoveryTest, BlockedReaderReturnsAfterWritersCommitIsStable) {
+  // A reader that conflicts with an in-flight writer waits for the
+  // writer's top-level end, which comes only after the writer's commit
+  // record is stable. So the reader, which forces nothing itself, never
+  // returns an update that a crash could still take back.
+  DatabaseOptions options;
+  options.enable_wal = true;
+  options.recovery.group_commit = true;
+  options.recovery.wal_flush_micros = 200000;  // 200 ms per sync
+  Database db(options);
+  auto types = Install(&db).ValueOrDie();
+  LoadSpec spec;
+  spec.num_items = 2;
+  spec.orders_per_item = 2;
+  auto data = Load(&db, types, spec).ValueOrDie();
+  ASSERT_TRUE(db.wal()->Flush().ok());
+  Oid a = data.item_oids[0];
+  Oid b = data.item_oids[1];
+
+  const Lsn claimed_before = db.wal()->claimed_lsn();
+  std::thread writer([&]() {
+    ASSERT_TRUE(db.RunTransaction("t2", T2_PayTwoOrders(a, 1, b, 1)).ok());
+  });
+  // Wait until the writer's commit record is in its 200 ms sync.
+  while (db.wal()->claimed_lsn() == claimed_before) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t blocked_before = db.locks()->stats().blocked_acquires;
+  // TestStatus(paid) conflicts with the writer's ChangeStatus(paid) on
+  // order 1, and no commuting ancestor pair relieves it.
+  auto answer = db.RunTransaction("t4", T4_CheckPayment(a, 1, b, 2));
+  const size_t stable = db.wal()->stable_count();
+  const size_t total = db.wal()->total_count();
+  writer.join();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_GE(db.locks()->stats().blocked_acquires - blocked_before, 1u);
+  EXPECT_EQ(stable, total) << "reader returned before the writer's commit "
+                              "record was stable";
+  EXPECT_EQ(answer.ValueOrDie().AsInt() & 1, 1) << "reader saw the payment";
 }
 
 TEST_F(RecoveryTest, CheckpointedRestartReplaysFromImage) {

@@ -2,7 +2,9 @@
 // pool (LRU, dirty write-back, pin exhaustion), record manager.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -207,6 +209,52 @@ TEST(BufferPool, FlushAllPersistsEverything) {
   Page p;
   ASSERT_TRUE(disk.ReadPage(id, p.data()).ok());
   EXPECT_EQ(p.Read(slot).ValueOrDie(), "flushed");
+}
+
+TEST(BufferPool, FailedFetchPublishesNoFrame) {
+  // A page the disk cannot read must not stay in the page table, or the
+  // next fetch of it would "hit" a frame that was never filled.
+  DiskManager disk;
+  BufferPool pool(4, &disk);
+  const PageId missing = 999;
+  EXPECT_TRUE(pool.FetchPage(missing).status().IsNotFound());
+  EXPECT_TRUE(pool.FetchPage(missing).status().IsNotFound());
+  // The frame went back to the pool: all four can still be pinned at once.
+  std::vector<PageGuard> pinned;
+  for (int i = 0; i < 4; ++i) pinned.push_back(pool.NewPage().ValueOrDie());
+}
+
+TEST(BufferPool, ConcurrentFetchNeverSeesAFrameStillLoading) {
+  // A fetch that hits a page another thread is reading in from disk must
+  // see that page, never the frame's previous occupant. Each page carries
+  // its own id in its header, so a stale frame shows as a wrong id.
+  DiskManager disk;
+  constexpr int kPages = 32;
+  constexpr int kThreads = 4;
+  BufferPool pool(8, &disk);
+  for (int i = 0; i < kPages; ++i) {
+    auto g = pool.NewPage().ValueOrDie();
+    g.MarkDirty();
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  std::atomic<int> stale{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      uint32_t x = 12345u + static_cast<uint32_t>(t);
+      for (int i = 0; i < 50000; ++i) {
+        x = x * 1103515245u + 12345u;
+        const auto id = static_cast<PageId>((x >> 16) % kPages);
+        auto g = pool.FetchPage(id);
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        g.ValueOrDie()->RLatch();
+        if (g.ValueOrDie()->page_id() != id) stale.fetch_add(1);
+        g.ValueOrDie()->RUnlatch();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(stale.load(), 0);
 }
 
 // --- RecordManager ------------------------------------------------------------

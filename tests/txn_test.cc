@@ -255,5 +255,59 @@ TEST_F(TxnTestBase, HistoryCanBeDisabled) {
   EXPECT_EQ(db.history()->size(), 0u);
 }
 
+/// Logger whose commit force always fails, counting what it is told.
+class FailingCommitLogger : public ActionLogger {
+ public:
+  explicit FailingCommitLogger(Status failure) : failure_(std::move(failure)) {}
+  void OnTxnBegin(TxnId) override { ++begins; }
+  Status OnTxnCommit(TxnId) override {
+    ++commits;
+    return failure_;
+  }
+  void OnTxnAbort(TxnId) override { ++aborts; }
+  void OnMethodCommitted(const SubTxn&, const Value&) override { ++records; }
+  void OnLeafPut(const SubTxn&, const Value&) override { ++records; }
+  void OnLeafSetInsert(const SubTxn&) override { ++records; }
+  void OnLeafSetRemove(const SubTxn&, Oid) override { ++records; }
+
+  int begins = 0, commits = 0, aborts = 0, records = 0;
+
+ private:
+  const Status failure_;
+};
+
+TEST_F(TxnTestBase, FailedCommitForceIsReturnedNotRetried) {
+  FailingCommitLogger logger(Status::IOError("log device lost"));
+  TxnManager txns(db.store(), db.locks(), db.methods(), /*recorder=*/nullptr,
+                  &logger);
+  Oid a = data.item_oids[0];
+  Oid b = data.item_oids[1];
+
+  // A read-only body logs nothing, so it has nothing to force.
+  auto read = txns.RunOnce("t4", T4_CheckPayment(a, 1, b, 1));
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(logger.begins + logger.records + logger.commits, 0);
+
+  // A writer logs its begin and updates, then reports the failed force.
+  auto write = txns.RunOnce("t2", T2_PayTwoOrders(a, 1, b, 1));
+  EXPECT_TRUE(write.status().IsIOError()) << write.status().ToString();
+  EXPECT_EQ(logger.begins, 1);
+  EXPECT_GT(logger.records, 0);
+  EXPECT_EQ(logger.commits, 1);
+  EXPECT_EQ(logger.aborts, 0);
+  // Committed in memory all the same: its locks are gone.
+  EXPECT_EQ(db.locks()->LocksOn(LockTarget::ForObject(a)).size(), 0u);
+
+  // Run does not retry it, even when the failure has a retryable code (a
+  // stopped group flusher reports Aborted): the updates already applied.
+  FailingCommitLogger aborted(Status::Aborted("log flusher stopped"));
+  TxnManager txns2(db.store(), db.locks(), db.methods(), nullptr, &aborted);
+  auto again = txns2.Run("t1", T1_ShipTwoOrders(a, 2, b, 2));
+  EXPECT_TRUE(again.status().IsAborted()) << again.status().ToString();
+  EXPECT_EQ(aborted.commits, 1);
+  EXPECT_EQ(txns2.stats().retries, 0u);
+  EXPECT_EQ(txns2.stats().commits, 1u);
+}
+
 }  // namespace
 }  // namespace semcc

@@ -497,7 +497,7 @@ TEST(GroupCommit, ShutdownDrainsPendingCommits) {
   opts.group_commit = true;
   RecoveryManager manager(&wal, opts);
   auto commit = std::async(std::launch::async, [&]() {
-    manager.OnTxnCommit(1);  // blocks in MakeStable until stable or failed
+    return manager.OnTxnCommit(1);  // blocks until stable or failed
   });
   // Wait until a flusher has claimed the commit record (its sync is now
   // running), then shut down underneath it.
@@ -510,6 +510,7 @@ TEST(GroupCommit, ShutdownDrainsPendingCommits) {
             std::future_status::ready)
       << "committer stranded after shutdown";
   // Drained, not dropped: the commit record is stable.
+  EXPECT_TRUE(commit.get().ok());
   EXPECT_EQ(wal.stable_count(), 1u);
   EXPECT_TRUE(manager.health().ok());
 }
@@ -523,14 +524,18 @@ TEST(GroupCommit, RequestDuringInFlightFlushIsNotLost) {
   RecoveryOptions opts;
   opts.group_commit = true;
   RecoveryManager manager(&wal, opts);
-  auto first = std::async(std::launch::async, [&]() { manager.OnTxnCommit(1); });
+  auto first = std::async(std::launch::async,
+                          [&]() { return manager.OnTxnCommit(1); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));  // mid-flush
-  auto second = std::async(std::launch::async, [&]() { manager.OnTxnCommit(2); });
+  auto second = std::async(std::launch::async,
+                           [&]() { return manager.OnTxnCommit(2); });
   ASSERT_EQ(first.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
   ASSERT_EQ(second.wait_for(std::chrono::seconds(10)),
             std::future_status::ready)
       << "second committer lost its wakeup";
+  EXPECT_TRUE(first.get().ok());
+  EXPECT_TRUE(second.get().ok());
   EXPECT_EQ(wal.stable_count(), 2u);
   manager.Shutdown();
 }
@@ -546,13 +551,16 @@ TEST(GroupCommit, FlushFailureFailsWaitersInsteadOfHanging) {
   RecoveryOptions opts;
   opts.group_commit = true;
   RecoveryManager manager(&wal, opts);
-  auto commit = std::async(std::launch::async, [&]() { manager.OnTxnCommit(1); });
+  auto commit = std::async(std::launch::async,
+                           [&]() { return manager.OnTxnCommit(1); });
   ASSERT_EQ(commit.wait_for(std::chrono::seconds(10)),
             std::future_status::ready)
       << "committer hung on a dead device";
+  // The committer learns its commit is not durable, not just health().
+  EXPECT_FALSE(commit.get().ok());
   EXPECT_FALSE(manager.health().ok());
   // Later commits observe the failure immediately instead of blocking.
-  manager.OnTxnCommit(2);
+  EXPECT_FALSE(manager.OnTxnCommit(2).ok());
   EXPECT_FALSE(manager.health().ok());
   manager.Shutdown();
 }
@@ -567,7 +575,7 @@ TEST(GroupCommit, ForceModeSurfacesWalFailure) {
   fi->SetPlan(plan);
   RecoveryManager manager(&wal, RecoveryOptions());  // force-per-commit
   EXPECT_TRUE(manager.health().ok());
-  manager.OnTxnCommit(1);
+  EXPECT_FALSE(manager.OnTxnCommit(1).ok());
   EXPECT_FALSE(manager.health().ok());
 }
 
@@ -657,14 +665,16 @@ TEST(GroupCommit, FlusherPoolDeathFailsWaiters) {
   RecoveryOptions opts;
   opts.group_commit = true;
   RecoveryManager manager(&wal, opts);
-  std::vector<std::future<void>> commits;
+  std::vector<std::future<Status>> commits;
   for (TxnId txn = 1; txn <= 4; ++txn) {
-    commits.push_back(std::async(std::launch::async,
-                                 [&manager, txn]() { manager.OnTxnCommit(txn); }));
+    commits.push_back(std::async(std::launch::async, [&manager, txn]() {
+      return manager.OnTxnCommit(txn);
+    }));
   }
   for (auto& c : commits) {
     ASSERT_EQ(c.wait_for(std::chrono::seconds(10)), std::future_status::ready)
         << "committer hung on a dead flusher pool";
+    EXPECT_FALSE(c.get().ok());
   }
   EXPECT_FALSE(manager.health().ok());
   manager.Shutdown();
@@ -692,7 +702,9 @@ TEST(GroupCommit, TransientEioMidPipelineRecovers) {
           plan.fail_next_syncs = 2;
           fi->SetPlan(plan);
         }
-        manager.OnTxnCommit(static_cast<TxnId>(1 + t * kPerThread + i));
+        EXPECT_TRUE(
+            manager.OnTxnCommit(static_cast<TxnId>(1 + t * kPerThread + i))
+                .ok());
       }
     });
   }
