@@ -46,9 +46,9 @@ inline constexpr MethodId kNumGenericOps = 9;
 
 /// \brief Thread-safe append-only string-to-id table.
 ///
-/// Intern() is called on cold paths only (SubTxn construction, compatibility
-/// registration), so a SharedMutex is fine; the hot conflict test uses the
-/// cached ids and never comes here.
+/// Intern() runs once per action (every SubTxn constructor interns its
+/// method name) and at compatibility registration. The conflict test uses
+/// the cached ids and never comes here.
 class MethodInterner {
  public:
   /// The process-wide interner (generic operations pre-interned).

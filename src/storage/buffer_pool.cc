@@ -26,17 +26,11 @@ Result<size_t> BufferPool::Pin(PageId id, bool fresh) {
   MutexLock guard(mu_);
   auto it = page_table_.find(id);
   if (it != page_table_.end()) {
-    const size_t idx = it->second;
-    Frame* f = frames_[idx].get();
-    if (f->pin_count == 0) {
-      auto pos = lru_pos_.find(idx);
-      SEMCC_CHECK(pos != lru_pos_.end());
-      lru_.erase(pos->second);
-      lru_pos_.erase(pos);
-    }
+    Frame* f = frames_[it->second].get();
     f->pin_count++;
+    f->referenced = true;
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return idx;
+    return it->second;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   size_t idx;
@@ -44,18 +38,7 @@ Result<size_t> BufferPool::Pin(PageId id, bool fresh) {
     idx = free_frames_.back();
     free_frames_.pop_back();
   } else {
-    if (lru_.empty()) {
-      return Status::OutOfSpace("buffer pool exhausted: all frames pinned");
-    }
-    idx = lru_.back();
-    lru_.pop_back();
-    lru_pos_.erase(idx);
-    Frame* victim = frames_[idx].get();
-    SEMCC_CHECK(victim->pin_count == 0);
-    if (victim->dirty) {
-      SEMCC_RETURN_NOT_OK(disk_->WritePage(victim->disk_id, victim->page.data()));
-    }
-    page_table_.erase(victim->disk_id);
+    SEMCC_ASSIGN_OR_RETURN(idx, Evict());
   }
   Frame* f = frames_[idx].get();
   // Fill the frame before page_table_ publishes it: a concurrent Pin of
@@ -73,8 +56,28 @@ Result<size_t> BufferPool::Pin(PageId id, bool fresh) {
   f->disk_id = id;
   f->pin_count = 1;
   f->dirty = false;
+  f->referenced = false;
   page_table_[id] = idx;
   return idx;
+}
+
+Result<size_t> BufferPool::Evict() {
+  for (size_t step = 0; step < 2 * frames_.size(); ++step) {
+    const size_t idx = hand_;
+    hand_ = (hand_ + 1) % frames_.size();
+    Frame* f = frames_[idx].get();
+    if (f->pin_count > 0) continue;
+    if (f->referenced) {
+      f->referenced = false;
+      continue;
+    }
+    if (f->dirty) {
+      SEMCC_RETURN_NOT_OK(disk_->WritePage(f->disk_id, f->page.data()));
+    }
+    page_table_.erase(f->disk_id);
+    return idx;
+  }
+  return Status::OutOfSpace("buffer pool exhausted: all frames pinned");
 }
 
 void BufferPool::Unpin(size_t frame_idx, bool dirty) {
@@ -82,10 +85,7 @@ void BufferPool::Unpin(size_t frame_idx, bool dirty) {
   Frame* f = frames_[frame_idx].get();
   SEMCC_CHECK(f->pin_count > 0);
   if (dirty) f->dirty = true;
-  if (--f->pin_count == 0) {
-    lru_.push_front(frame_idx);
-    lru_pos_[frame_idx] = lru_.begin();
-  }
+  f->pin_count--;
 }
 
 Result<PageGuard> BufferPool::NewPage() {

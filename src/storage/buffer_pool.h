@@ -1,11 +1,10 @@
-// BufferPool: fixed set of in-memory frames over the DiskManager with LRU
-// eviction and pin counting.
+// BufferPool: fixed set of in-memory frames over the DiskManager with CLOCK
+// (second-chance) eviction and pin counting.
 #ifndef SEMCC_STORAGE_BUFFER_POOL_H_
 #define SEMCC_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -22,7 +21,11 @@ namespace semcc {
 /// on destruction.
 class PageGuard;
 
-/// \brief Buffer pool with LRU replacement.
+/// \brief Buffer pool with CLOCK (second-chance) replacement.
+///
+/// A hit only sets the frame's reference bit (see Evict for the sweep). A
+/// frame filled by a miss starts with its bit clear, so a page read once and
+/// not hit again is the next victim.
 ///
 /// Thread safety: all public methods are thread-safe. Content access still
 /// requires the page latch (Page::RLatch/WLatch), which PageGuard exposes.
@@ -53,15 +56,21 @@ class BufferPool {
     PageId disk_id = kInvalidPageId;
     int pin_count = 0;
     bool dirty = false;
+    bool referenced = false;  // CLOCK bit: set by a hit, cleared by the hand
   };
 
   void Unpin(size_t frame_idx, bool dirty) SEMCC_EXCLUDES(mu_);
 
-  /// Find a frame for `id`: hit, free frame, or LRU eviction. Returns the
+  /// Find a frame for `id`: hit, free frame, or CLOCK eviction. Returns the
   /// frame index with pin_count already incremented. On a miss the frame is
   /// filled under mu_ before any other Pin can find it: reset to an empty
   /// page when `fresh` (a newly allocated id), else read from disk.
   Result<size_t> Pin(PageId id, bool fresh) SEMCC_EXCLUDES(mu_);
+
+  /// Sweep the hand to the first unpinned frame with a clear bit, write it
+  /// back if dirty and unmap it. Two turns suffice, because the first clears
+  /// every bit it passes; OutOfSpace when every frame is pinned.
+  Result<size_t> Evict() SEMCC_REQUIRES(mu_);
 
   DiskManager* const disk_;
   Mutex mu_;
@@ -69,10 +78,7 @@ class BufferPool {
   /// bookkeeping fields inside each Frame, not the vector itself.
   std::vector<std::unique_ptr<Frame>> frames_;
   std::unordered_map<PageId, size_t> page_table_ SEMCC_GUARDED_BY(mu_);
-  /// front = most recent; only unpinned frames listed
-  std::list<size_t> lru_ SEMCC_GUARDED_BY(mu_);
-  std::unordered_map<size_t, std::list<size_t>::iterator> lru_pos_
-      SEMCC_GUARDED_BY(mu_);
+  size_t hand_ SEMCC_GUARDED_BY(mu_) = 0;
   std::vector<size_t> free_frames_ SEMCC_GUARDED_BY(mu_);
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

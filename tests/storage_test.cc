@@ -1,5 +1,5 @@
 // Unit tests for the storage substrate: slotted pages, disk manager, buffer
-// pool (LRU, dirty write-back, pin exhaustion), record manager.
+// pool (CLOCK, dirty write-back, pin exhaustion), record manager.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,8 @@
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/record_manager.h"
+#include "test_env.h"
+#include "util/coding.h"
 
 namespace semcc {
 namespace {
@@ -189,8 +191,38 @@ TEST(BufferPool, HitsAndMissesCounted) {
     id = g->page_id();
     g.MarkDirty();
   }
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 0u);
   (void)pool.FetchPage(id).ValueOrDie();  // hit (still resident)
-  EXPECT_GE(pool.hits(), 1u);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 1u);
+}
+
+TEST(BufferPool, HotPageSurvivesColdMisses) {
+  // Second chance: a page hit between misses keeps its frame while pages
+  // read once each stream through the rest of the pool.
+  DiskManager disk;
+  BufferPool pool(4, &disk);
+  constexpr int kCold = 64;
+  constexpr int kRounds = 1000;
+  PageId hot;
+  {
+    auto g = pool.NewPage().ValueOrDie();
+    hot = g->page_id();
+  }
+  std::vector<PageId> cold;
+  for (int i = 0; i < kCold; ++i) {
+    auto g = pool.NewPage().ValueOrDie();
+    cold.push_back(g->page_id());
+  }
+  ASSERT_TRUE(pool.FetchPage(hot).ok());  // resident again
+  const uint64_t misses_before = pool.misses();
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(pool.FetchPage(hot).ok());
+    ASSERT_TRUE(pool.FetchPage(cold[round % kCold]).ok());
+  }
+  // Every cold fetch misses; the hot page never does.
+  EXPECT_EQ(pool.misses() - misses_before, static_cast<uint64_t>(kRounds));
 }
 
 TEST(BufferPool, FlushAllPersistsEverything) {
@@ -255,6 +287,73 @@ TEST(BufferPool, ConcurrentFetchNeverSeesAFrameStillLoading) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(stale.load(), 0);
+}
+
+std::string EncodeCounter(uint64_t v) {
+  std::string out;
+  PutU64(&out, v);
+  return out;
+}
+
+uint64_t DecodeCounter(std::string_view record) {
+  uint64_t v = 0;
+  EXPECT_TRUE(Decoder(record).GetU64(&v));
+  return v;
+}
+
+TEST(BufferPool, ConcurrentDirtyWritesSurviveEviction) {
+  // Victims are chosen and written back while other threads pin, update and
+  // unpin pages: every increment must reach the disk image. Each page holds
+  // one fixed-width counter per thread, so every Update stays in place.
+  DiskManager disk;
+  constexpr int kPages = 32;
+  constexpr int kThreads = 4;
+  BufferPool pool(8, &disk);
+  std::vector<PageId> ids;
+  for (int i = 0; i < kPages; ++i) {
+    auto g = pool.NewPage().ValueOrDie();
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(g->Insert(EncodeCounter(0)).ValueOrDie(),
+                static_cast<uint16_t>(t));
+    }
+    ids.push_back(g->page_id());
+  }
+  const int rounds = 100 * test_env::IterCount("SEMCC_STRESS_ITERS", 200);
+  // increments[t][p]: how often thread t bumped its counter on page p.
+  std::vector<std::vector<uint64_t>> increments(
+      kThreads, std::vector<uint64_t>(kPages, 0));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      const auto slot = static_cast<uint16_t>(t);
+      uint32_t x = 777u + static_cast<uint32_t>(t);
+      for (int i = 0; i < rounds; ++i) {
+        x = x * 1103515245u + 12345u;
+        const int p = static_cast<int>((x >> 16) % kPages);
+        auto fetched = pool.FetchPage(ids[p]);
+        ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+        PageGuard g = std::move(fetched).ValueOrDie();
+        g->WLatch();
+        const uint64_t v = DecodeCounter(g->Read(slot).ValueOrDie());
+        const Status st = g->Update(slot, EncodeCounter(v + 1));
+        g->WUnlatch();
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        g.MarkDirty();
+        increments[t][p]++;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  for (int p = 0; p < kPages; ++p) {
+    Page image;
+    ASSERT_TRUE(disk.ReadPage(ids[p], image.data()).ok());
+    for (int t = 0; t < kThreads; ++t) {
+      const auto slot = static_cast<uint16_t>(t);
+      EXPECT_EQ(DecodeCounter(image.Read(slot).ValueOrDie()), increments[t][p])
+          << "page " << p << " thread " << t;
+    }
+  }
 }
 
 // --- RecordManager ------------------------------------------------------------
