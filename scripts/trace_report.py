@@ -49,9 +49,7 @@ KEY_LO_NEG_INF = -(2**63)
 KEY_HI_INF = 2**63 - 1
 
 # Event kinds that represent a lock decision on the acquire path.
-# "fastpath-grant" is no longer emitted; captures from older builds carry it
-# and it reads as a grant.
-DECISION_KINDS = {"grant", "fastpath-grant", "block"}
+DECISION_KINDS = {"grant", "block"}
 
 
 def load_events(path):

@@ -186,25 +186,13 @@ void LockManager::EmitLockEvent(trace::EventKind kind, SubTxn* t,
     e.key_hi = target.key_hi;
     e.flags |= trace::kFlagKeyRange;
   }
-  // Replay fidelity (tools/trace_replay): the captured type and the first
-  // two integer arguments are enough to re-derive every argument-sensitive
-  // verdict of the order-entry matrix. Non-integer arguments replay as 0.
-  e.type_id = static_cast<uint16_t>(t->type());
-  const Args& args = t->args();
-  e.argc = static_cast<uint8_t>(args.size() < 2 ? args.size() : 2);
-  if (!args.empty() && args[0].type() == Value::Type::kInt) {
-    e.arg0 = args[0].AsInt();
-  }
-  if (args.size() > 1 && args[1].type() == Value::Type::kInt) {
-    e.arg1 = args[1].AsInt();
-  }
   e.set_method(t->method());
   trace::Emit(e);
 }
 
 void LockManager::NotifyShards(const ShardSet& s) {
   if (s.none()) return;
-  const bool tracing = trace::Active(options_.trace);
+  const bool tracing = trace::Active();
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (!s.test(i)) continue;
     LockShard& shard = *shards_[i];
@@ -711,7 +699,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   // the same (space, key) the caller named.
   LockTarget target = requested;
   AnnotateKeyInterval(t, &target);
-  const bool tracing = trace::Active(options_.trace);
+  const bool tracing = trace::Active();
   const uint32_t shard_idx = ShardIndexOf(target);
   counters_.Inc(shard_idx, kCtrAcquires);
   if (t->root()->abort_requested() && !t->compensation()) {
@@ -738,8 +726,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
     t->set_grant_seq(NextSeq());
     if (tracing) {
       EmitLockEvent(trace::EventKind::kGrant, t, target, shard_idx,
-                    scan.grant_relief, nullptr, 0,
-                    is_write ? trace::kFlagIsWrite : 0);
+                    scan.grant_relief, nullptr, 0, 0);
     }
     if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
       inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
@@ -755,11 +742,9 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   auto my_it =
       AppendEntry(shard, q, target, t, is_write, /*granted=*/false, my_seq);
   if (tracing) {
-    EmitLockEvent(
-        trace::EventKind::kBlock, t, target, shard_idx, scan.block_why,
-        scan.first_blocker, 0,
-        (scan.blocker_retained ? trace::kFlagBlockerRetained : 0) |
-            (is_write ? trace::kFlagIsWrite : 0));
+    EmitLockEvent(trace::EventKind::kBlock, t, target, shard_idx,
+                  scan.block_why, scan.first_blocker, 0,
+                  scan.blocker_retained ? trace::kFlagBlockerRetained : 0);
   }
 
   bool ever_blocked = false;
@@ -909,7 +894,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
 
 void LockManager::OnSubTxnCompleted(SubTxn* t) {
   t->set_end_seq(NextSeq());
-  if (trace::Active(options_.trace)) {
+  if (trace::Active()) {
     EmitLockEvent(trace::EventKind::kComplete, t, LockTarget{}, 0,
                   ConflictOutcome::kNoLock, nullptr, 0, 0);
   }
@@ -998,7 +983,7 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
 }
 
 void LockManager::ReleaseTree(SubTxn* root) {
-  if (trace::Active(options_.trace)) {
+  if (trace::Active()) {
     EmitLockEvent(trace::EventKind::kRelease, root, LockTarget{}, 0,
                   ConflictOutcome::kNoLock, nullptr, 0, 0);
   }

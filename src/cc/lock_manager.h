@@ -125,14 +125,6 @@ struct ProtocolOptions {
   bool debug_lock_checks = false;
 #endif
 
-  /// Emit structured lock-decision events (grants, blocks, verdicts,
-  /// wakeups, completions) into the per-thread trace rings of util/trace.h
-  /// for this database. The SEMCC_TRACE environment variable enables the
-  /// same tracing process-wide (and can name an exit-time dump file); this
-  /// flag scopes it to one database. Off: one predicted-false branch per
-  /// instrumented operation.
-  bool trace = false;
-
   /// Multi-version snapshot reads (DESIGN.md §5.7): the database keeps a
   /// VersionedObjectStore beside the live store, and read-only transactions
   /// submitted through Database::RunReadTransaction execute against a
@@ -550,7 +542,7 @@ class LockManager {
   static size_t ClampShardCount(int requested);
 
   /// Stamp the common fields and emit one lock-decision trace event.
-  /// Callers gate on trace::Active(options_.trace) first.
+  /// Callers gate on trace::Active() first.
   void EmitLockEvent(trace::EventKind kind, SubTxn* t,
                      const LockTarget& target, uint32_t shard,
                      ConflictOutcome verdict, SubTxn* blocker, uint64_t value,

@@ -112,7 +112,7 @@ Lsn WriteAheadLog::Append(LogRecord record) {
   encoded_.push_back(record.Encode());
   lsns_.push_back(record.lsn);
   appends_++;
-  if (trace::Active(false)) {
+  if (trace::Active()) {
     EmitWalEvent(trace::EventKind::kWalAppend, record.lsn, 0, 0);
   }
   return record.lsn;
@@ -289,7 +289,7 @@ Status WriteAheadLog::FlushInternal(Lsn target, bool force_sync) {
                        << options_.max_flush_attempts
                        << " flush attempts: " << st.ToString();
       failed_ = st;
-      if (trace::Active(false)) {
+      if (trace::Active()) {
         EmitWalEvent(trace::EventKind::kWalDegrade, 0, batch_records,
                      device_us);
       }
@@ -303,7 +303,7 @@ Status WriteAheadLog::FlushInternal(Lsn target, bool force_sync) {
   flushes_++;
   flush_micros_.Add(device_us);
   flush_batch_records_.Add(batch_records);
-  if (trace::Active(false)) {
+  if (trace::Active()) {
     EmitWalEvent(trace::EventKind::kWalFlush, batch_last_lsn, batch_records,
                  device_us);
   }
@@ -360,7 +360,7 @@ Result<size_t> WriteAheadLog::TruncateCheckpointed(Lsn up_to) {
   stable_ -= n;
   claimed_ -= n;
   stable_bytes_ -= std::min<uint64_t>(stable_bytes_, dropped.ValueOrDie());
-  if (trace::Active(false)) {
+  if (trace::Active()) {
     EmitWalEvent(trace::EventKind::kWalCheckpoint, up_to, n,
                  dropped.ValueOrDie());
   }

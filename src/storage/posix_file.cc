@@ -97,16 +97,6 @@ Status PosixWritableFile::Sync() {
   return Status::OK();
 }
 
-Status PosixWritableFile::Truncate(uint64_t size) {
-  if (fd_ < 0) return Status::InvalidArgument("truncate on closed file");
-  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
-    return Errno("ftruncate", path_);
-  }
-  size_ = size;
-  physical_size_ = size;
-  return Status::OK();
-}
-
 Status PosixWritableFile::Close() {
   if (fd_ < 0) return Status::OK();
   const int fd = fd_;

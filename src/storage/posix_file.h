@@ -52,10 +52,6 @@ class PosixWritableFile {
   /// fdatasync (fsync where unavailable): make every appended byte durable.
   Status Sync();
 
-  /// Truncate to `size` bytes (tail repair after a detected torn write).
-  /// Discards any preallocated padding past `size` as well.
-  Status Truncate(uint64_t size);
-
   Status Close();
 
   bool is_open() const { return fd_ >= 0; }

@@ -23,7 +23,7 @@ void TxnCtx::LogBegin() {
 }
 
 void TxnCtx::TraceSnapshotRead(const SubTxn* node, uint64_t observed_ts) {
-  if (!trace::Active(lm_->options().trace)) return;
+  if (!trace::Active()) return;
   trace::Event e;
   e.kind = static_cast<uint8_t>(trace::EventKind::kSnapshotRead);
   e.txn = node->id();

@@ -88,7 +88,7 @@ Result<Value> TxnManager::RunAttempt(const std::string& name, const Body& body,
   TxnCtx ctx(store_, lm_, methods_, &tree, logger_, versions_);
 
   const size_t stripe = metrics::ThreadStripeSlot();
-  const bool tracing = trace::Active(lm_->options().trace);
+  const bool tracing = trace::Active();
   counters_.Inc(stripe, kCtrBegins);
   if (tracing) EmitTxnEvent(trace::EventKind::kTxnBegin, root->id(), name, 0);
 
@@ -156,7 +156,7 @@ Result<Value> TxnManager::RunSnapshot(const std::string& name,
   TxnCtx ctx(store_, lm_, methods_, &tree, /*logger=*/nullptr, versions_);
 
   const size_t stripe = metrics::ThreadStripeSlot();
-  const bool tracing = trace::Active(lm_->options().trace);
+  const bool tracing = trace::Active();
   counters_.Inc(stripe, kCtrBegins);
   if (tracing) {
     EmitTxnEvent(trace::EventKind::kTxnBegin, root->id(), name, snapshot_ts);
@@ -216,7 +216,7 @@ Result<Value> TxnManager::Run(const std::string& name, const Body& body,
       return r;
     }
     counters_.Inc(metrics::ThreadStripeSlot(), kCtrRetries);
-    if (trace::Active(lm_->options().trace)) {
+    if (trace::Active()) {
       EmitTxnEvent(trace::EventKind::kTxnRetry, priority, name,
                    static_cast<uint64_t>(attempt + 1));
     }

@@ -27,10 +27,6 @@ inline void PutU64(std::string* dst, uint64_t v) {
   dst->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-inline void PutI64(std::string* dst, int64_t v) {
-  PutU64(dst, static_cast<uint64_t>(v));
-}
-
 inline void PutLengthPrefixed(std::string* dst, std::string_view s) {
   PutU32(dst, static_cast<uint32_t>(s.size()));
   dst->append(s.data(), s.size());
@@ -50,7 +46,6 @@ class Decoder {
   bool GetU16(uint16_t* v) { return GetRaw(v); }
   bool GetU32(uint32_t* v) { return GetRaw(v); }
   bool GetU64(uint64_t* v) { return GetRaw(v); }
-  bool GetI64(int64_t* v) { return GetRaw(v); }
 
   bool GetLengthPrefixed(std::string* out) {
     uint32_t len;

@@ -6,17 +6,12 @@
 // dropped. Dumping merges every thread's ring and sorts by the global
 // sequence number stamped at emit time.
 //
-// Turning it on (both ways compose; either suffices):
-//  * `SEMCC_TRACE` environment variable — "0"/unset is off; any other
-//    value enables tracing process-wide, and a value other than "1"/"on"
-//    is additionally treated as an output path that the process dumps
-//    JSON-lines to at exit (convenient for benches:
-//    `SEMCC_TRACE=/tmp/fig5.trace ./bench_fig5_bypass`).
-//  * `SEMCC_TRACE_CAPTURE=<path>` — like a path-valued SEMCC_TRACE but the
-//    exit-time dump uses the compact binary capture format instead of
-//    JSON-lines, replayable with tools/trace_replay.
-//  * `ProtocolOptions::trace` — per-database; the instrumented components
-//    pass it into Active().
+// Turning it on: the `SEMCC_TRACE` environment variable — "0"/unset is
+// off; any other value enables tracing process-wide, and a value other than
+// "1"/"on" is additionally treated as an output path that the process dumps
+// JSON-lines to at exit (convenient for benches:
+// `SEMCC_TRACE=/tmp/fig5.trace ./bench_fig5_bypass`). Tests call Enable().
+// scripts/trace_report.py interprets the dump.
 //
 // When tracing is off the instrumentation call sites reduce to one
 // predicted-false branch on a relaxed atomic load — the emit path, the
@@ -43,8 +38,6 @@ namespace trace {
 
 enum class EventKind : uint8_t {
   kGrant = 1,          ///< lock granted on the first (pre-append) scan
-  kFastPathGrant = 2,  ///< reserved: no longer emitted; older captures
-                       ///< carry it and replay reads it as a grant
   kBlock = 3,          ///< request blocked; `other` = blocker id
   kGrantAfterWait = 4, ///< blocked request finally granted; `value` = wait us
   kDeadlockVictim = 5, ///< requester chosen as deadlock victim
@@ -74,8 +67,6 @@ inline constexpr uint8_t kFlagBlockerRetained = 1;  ///< blocking entry was a
 inline constexpr uint8_t kFlagKeyRange = 2;  ///< key_lo/key_hi carry the
                                              ///< request's key interval
                                              ///< (keyrange_locks)
-inline constexpr uint8_t kFlagIsWrite = 4;   ///< requesting method is a
-                                             ///< writer (replay fidelity)
 
 /// \brief One trace event. Plain data; `method` is a truncated copy so the
 /// event stays valid after the SubTxn it describes is destroyed.
@@ -91,15 +82,8 @@ struct Event {
   /// kFlagKeyRange; see ProtocolOptions::keyrange_locks).
   int64_t key_lo = 0;
   int64_t key_hi = 0;
-  /// Replay fidelity (lock events): the requester's object type id and up
-  /// to two integer method arguments, so a captured trace can be replayed
-  /// through the real commutativity matrix (tools/trace_replay).
-  int64_t arg0 = 0;
-  int64_t arg1 = 0;
   uint32_t shard = 0;
   uint16_t depth = 0;
-  uint16_t type_id = 0;      ///< requester's schema TypeId (lock events)
-  uint8_t argc = 0;          ///< how many of arg0/arg1 are meaningful (0-2)
   uint8_t target_space = 0;  ///< LockTarget::Space
   uint8_t kind = 0;          ///< EventKind
   uint8_t verdict = 0;       ///< ConflictOutcome
@@ -120,14 +104,10 @@ namespace internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace internal
 
-/// Process-wide enable (SEMCC_TRACE env, or Enable()). Relaxed load.
-bool GloballyEnabled();
-
-/// The gate instrumented components use; `component_flag` is their own
-/// opt-in (e.g. ProtocolOptions::trace).
-inline bool Active(bool component_flag) {
+/// The gate instrumented components use: is tracing on (SEMCC_TRACE env,
+/// or Enable())? Relaxed load.
+inline bool Active() {
   return SEMCC_PREDICT_FALSE(
-      component_flag ||
       internal::g_enabled.load(std::memory_order_relaxed));
 }
 
@@ -149,24 +129,12 @@ std::string ToJsonLines();
 /// Write ToJsonLines() to `path`.
 Status WriteJsonLines(const std::string& path);
 
-/// Write all buffered events to `path` in the compact binary capture
-/// format (magic "SMCCTRC1"; layout in DESIGN.md §5.9). Same quiescence
-/// caveat as SnapshotEvents. Enabled automatically at process exit when
-/// `SEMCC_TRACE_CAPTURE=<path>` is set in the environment (which also
-/// turns tracing on, like SEMCC_TRACE).
-Status WriteBinary(const std::string& path);
-
-/// Read a binary capture produced by WriteBinary into `*out` (seq order,
-/// replacing prior contents). Rejects bad magic / version / truncation.
-Status ReadBinary(const std::string& path, std::vector<Event>* out);
-
 /// Drop all buffered events and reset the dropped counters (rings stay
 /// registered). Does not change the enabled state or the seq counter.
 void ResetForTesting();
 
 /// Set the per-thread ring capacity (rounded up to a power of two) and
-/// clear existing rings to the new size. Default: 8192 events, overridable
-/// at startup via SEMCC_TRACE_RING.
+/// clear existing rings to the new size. Default: 8192 events.
 void SetRingCapacityForTesting(size_t capacity);
 
 }  // namespace trace

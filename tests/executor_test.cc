@@ -2,9 +2,15 @@
 // protocol variants over identical bodies, and error propagation.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "app/orderentry/order_entry.h"
 #include "core/database.h"
 #include "core/serializability.h"
+#include "util/sync.h"
 
 namespace semcc {
 namespace {
@@ -216,6 +222,77 @@ TEST_F(ExecutorTest, ScanReflectsOwnInserts) {
     return ono;
   });
   ASSERT_TRUE(r.ok());
+}
+
+TEST_F(ExecutorTest, SetMemberAndRangeScanLockOnlyTheKeysTheyRead) {
+  Oid orders = kInvalidOid;
+  bool has1 = false;
+  bool has9 = true;
+  std::vector<std::pair<Value, Oid>> range;
+  auto r = db.RunTransaction("read", [&](TxnCtx& ctx) -> Result<Value> {
+    SEMCC_ASSIGN_OR_RETURN(orders, ctx.Component(data.item_oids[0], "Orders"));
+    SEMCC_ASSIGN_OR_RETURN(has1, ctx.SetMember(orders, Value(1)));
+    SEMCC_ASSIGN_OR_RETURN(has9, ctx.SetMember(orders, Value(9)));
+    SEMCC_ASSIGN_OR_RETURN(range, ctx.SetRangeScan(orders, Value(2), Value(5)));
+    return Value();
+  });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(has1);
+  EXPECT_FALSE(has9);
+  ASSERT_EQ(range.size(), 1u);
+  EXPECT_EQ(range[0].first.AsInt(), 2);
+  const Oid order1 = FindOrder(&db, data.item_oids[0], 1).ValueOrDie();
+
+  // T1 holds an uncommitted Insert(7) on the set until T3 has blocked.
+  ScriptedSchedule sched;
+  std::thread t1([&]() {
+    auto r1 = db.RunTransactionOnce("t1", [&](TxnCtx& ctx) -> Result<Value> {
+      SEMCC_RETURN_NOT_OK(ctx.SetInsert(orders, Value(7), order1));
+      sched.Signal("inserted");
+      sched.WaitFor("t3.blocked");
+      return Value();
+    });
+    EXPECT_TRUE(r1.ok()) << r1.status().ToString();
+  });
+  sched.WaitFor("inserted");
+  const LockStats before = db.locks()->stats();
+
+  // Keys other than 7 commute with the insert: granted without a wait.
+  auto r2 = db.RunTransaction("t2", [&](TxnCtx& ctx) -> Result<Value> {
+    SEMCC_ASSIGN_OR_RETURN(range, ctx.SetRangeScan(orders, Value(1), Value(2)));
+    SEMCC_ASSIGN_OR_RETURN(has9, ctx.SetMember(orders, Value(9)));
+    return Value();
+  });
+  EXPECT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_EQ(range.size(), 2u);
+  EXPECT_FALSE(has9);
+  const LockStats after_t2 = db.locks()->stats();
+  EXPECT_EQ(after_t2.blocked_acquires, before.blocked_acquires);
+  EXPECT_EQ(after_t2.root_waits, before.root_waits);
+
+  // Member(7) conflicts with the insert, and the insert's only ancestor is
+  // T1's root: T3 waits for T1's commit, then sees the new member.
+  Result<Value> r3 = Value();
+  std::thread t3([&]() {
+    r3 = db.RunTransaction("t3", [&](TxnCtx& ctx) -> Result<Value> {
+      SEMCC_ASSIGN_OR_RETURN(bool has7, ctx.SetMember(orders, Value(7)));
+      return Value(int64_t{has7 ? 1 : 0});
+    });
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db.locks()->stats().blocked_acquires == before.blocked_acquires &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  sched.Signal("t3.blocked");
+  t1.join();
+  t3.join();
+  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
+  EXPECT_EQ(r3.ValueOrDie().AsInt(), 1);
+  const LockStats ls = db.locks()->stats();
+  EXPECT_EQ(ls.blocked_acquires - before.blocked_acquires, 1u);
+  EXPECT_EQ(ls.root_waits - before.root_waits, 1u);
 }
 
 }  // namespace

@@ -3,13 +3,15 @@
 // against the lock manager's entry-accounting contract (granted ==
 // released + live at quiesce), snapshot consistency under concurrent
 // mutation (the TSan leg of the build matrix exercises the memory-ordering
-// contract), trace ring-buffer wraparound, and the verdict counts / trace
-// decision events of the paper's scenario figures (EXPERIMENTS.md).
+// contract), trace ring-buffer wraparound, the trace on/off gate, and the
+// verdict counts / trace decision events of the paper's scenario figures
+// (EXPERIMENTS.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -338,14 +340,57 @@ TEST(ScenarioVerdicts, Fig7CountsTheCase2Wait) {
   EXPECT_GE(ls.case2_waits, 1u);
 }
 
-// --- trace decision events for the figures ----------------------------------
+// --- trace gate and decision events for the figures -----------------------
 
-TEST(ScenarioTrace, Fig5EmitsARetainedBlockWithRootWaitVerdict) {
-  trace::SetRingCapacityForTesting(8192);
+/// Starts each test with empty rings and turns tracing off afterwards, so
+/// neither a failed assertion nor --gtest_repeat leaves it on for the next
+/// test.
+struct TracingTest : public ::testing::Test {
+  void SetUp() override {
+    trace::SetRingCapacityForTesting(8192);
+    trace::ResetForTesting();
+  }
+  void TearDown() override { trace::Enable(false); }
+};
+using TraceGate = TracingTest;
+using ScenarioTrace = TracingTest;
+
+TEST_F(TraceGate, OffEmitsNothingOnEmitsEverySite) {
+  DatabaseOptions dopts;
+  dopts.enable_wal = true;
+  Database db(dopts);
+  const auto types = orderentry::Install(&db).ValueOrDie();
+  orderentry::LoadSpec spec;
+  spec.num_items = 2;
+  spec.orders_per_item = 2;
+  const auto data = orderentry::Load(&db, types, spec).ValueOrDie();
+  const Oid i0 = data.item_oids[0];
+  const Oid i1 = data.item_oids[1];
+
+  trace::Enable(false);
   trace::ResetForTesting();
-  ProtocolOptions o = Semantic();
-  o.trace = true;  // per-database opt-in; no env needed
-  auto s = orderentry::MakePaperScenario(o).ValueOrDie();
+  ASSERT_TRUE(
+      db.RunTransaction("off", orderentry::T1_ShipTwoOrders(i0, 1, i1, 1))
+          .ok());
+  EXPECT_TRUE(trace::SnapshotEvents().empty());
+
+  trace::Enable(true);
+  ASSERT_TRUE(
+      db.RunTransaction("on", orderentry::T1_ShipTwoOrders(i0, 2, i1, 2))
+          .ok());
+  std::set<std::string> kinds;
+  for (const trace::Event& e : trace::SnapshotEvents()) {
+    kinds.insert(trace::EventKindName(static_cast<trace::EventKind>(e.kind)));
+  }
+  for (const char* k : {"txn-begin", "grant", "complete", "release",
+                        "txn-commit", "wal-append"}) {
+    EXPECT_EQ(kinds.count(k), 1u) << "no " << k << " event";
+  }
+}
+
+TEST_F(ScenarioTrace, Fig5EmitsARetainedBlockWithRootWaitVerdict) {
+  trace::Enable(true);
+  auto s = orderentry::MakePaperScenario(Semantic()).ValueOrDie();
   orderentry::RunFig5(s.get());
   bool found = false;
   for (const trace::Event& e : trace::SnapshotEvents()) {
@@ -360,12 +405,9 @@ TEST(ScenarioTrace, Fig5EmitsARetainedBlockWithRootWaitVerdict) {
       << "no block event against a retained lock in the Fig5 trace";
 }
 
-TEST(ScenarioTrace, Fig6EmitsAGrantWithCase1Verdict) {
-  trace::SetRingCapacityForTesting(8192);
-  trace::ResetForTesting();
-  ProtocolOptions o = Semantic();
-  o.trace = true;
-  auto s = orderentry::MakePaperScenario(o).ValueOrDie();
+TEST_F(ScenarioTrace, Fig6EmitsAGrantWithCase1Verdict) {
+  trace::Enable(true);
+  auto s = orderentry::MakePaperScenario(Semantic()).ValueOrDie();
   orderentry::RunFig6(s.get());
   bool found = false;
   for (const trace::Event& e : trace::SnapshotEvents()) {
