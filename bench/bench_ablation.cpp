@@ -16,10 +16,10 @@ using namespace semcc::bench;
 
 namespace {
 
-RunSummary RunVariant(const char* name, ProtocolOptions opts,
+RunSummary RunVariant(const char* name, Protocol protocol,
                       bool refined_matrix) {
   DatabaseOptions dopts;
-  dopts.protocol = opts;
+  dopts.protocol.protocol = protocol;
   dopts.record_history = false;
   Database db(dopts);
   orderentry::InstallOptions iopts;
@@ -63,19 +63,19 @@ int main() {
               "zipf 0.9, 1 ms think) ==\n\n");
   PrintHeader("variant");
 
-  ProtocolOptions full;
-  PrintRow(RunVariant("full", full, false), "full");
-
-  ProtocolOptions no_walk;
-  no_walk.ancestor_walk = false;
-  PrintRow(RunVariant("no-anc-walk", no_walk, false), "no-anc-walk");
-
-  ProtocolOptions no_retain;
-  no_retain.retain_locks = false;
-  PrintRow(RunVariant("no-retain(!)", no_retain, false), "no-retain(!)");
-
-  ProtocolOptions refined;
-  PrintRow(RunVariant("refined-fig2", refined, true), "refined-fig2");
+  const struct {
+    const char* name;
+    Protocol protocol;
+    bool refined_matrix;
+  } variants[] = {
+      {"full", Protocol::kSemanticONT, false},
+      {"no-anc-walk", Protocol::kSemanticNoAncestorWalk, false},
+      {"no-retain(!)", Protocol::kSemanticNoRetainedLocks, false},
+      {"refined-fig2", Protocol::kSemanticONT, true},
+  };
+  for (const auto& v : variants) {
+    PrintRow(RunVariant(v.name, v.protocol, v.refined_matrix), v.name);
+  }
 
   std::printf(
       "\n(!) no-retain is the §3 protocol: fastest, but INCORRECT under\n"

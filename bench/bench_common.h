@@ -26,42 +26,15 @@ struct ProtocolConfig {
 
 inline std::vector<ProtocolConfig> AllProtocols() {
   std::vector<ProtocolConfig> out;
-  {
+  // The paper's protocol, with the parameter-refined matrix (paper §3) and
+  // with the literal state-independent Figure 2.
+  out.push_back({"semantic-param", {}, /*refined_matrix=*/true});
+  out.push_back({"semantic-fig2", {}, /*refined_matrix=*/false});
+  for (Protocol p : {Protocol::kClosedNested, Protocol::kFlat2PLObject,
+                     Protocol::kFlat2PLRecord, Protocol::kFlat2PLPage}) {
     ProtocolConfig c;
-    c.name = "semantic-param";  // parameter-refined matrix (paper §3)
-    c.refined_matrix = true;
-    out.push_back(c);
-  }
-  {
-    ProtocolConfig c;
-    c.name = "semantic-fig2";  // the literal state-independent Figure 2
-    out.push_back(c);
-  }
-  {
-    ProtocolConfig c;
-    c.name = "closed-nested";
-    c.options.protocol = Protocol::kClosedNested;
-    out.push_back(c);
-  }
-  {
-    ProtocolConfig c;
-    c.name = "2pl-object";
-    c.options.protocol = Protocol::kFlat2PL;
-    c.options.granularity = LockGranularity::kObject;
-    out.push_back(c);
-  }
-  {
-    ProtocolConfig c;
-    c.name = "2pl-record";
-    c.options.protocol = Protocol::kFlat2PL;
-    c.options.granularity = LockGranularity::kRecord;
-    out.push_back(c);
-  }
-  {
-    ProtocolConfig c;
-    c.name = "2pl-page";
-    c.options.protocol = Protocol::kFlat2PL;
-    c.options.granularity = LockGranularity::kPage;
+    c.name = ProtocolName(p);
+    c.options.protocol = p;
     out.push_back(c);
   }
   return out;

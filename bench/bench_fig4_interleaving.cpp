@@ -12,7 +12,9 @@ using namespace semcc::orderentry;
 
 namespace {
 
-void RunUnder(const char* name, const ProtocolOptions& opts) {
+void RunUnder(const char* name, Protocol protocol) {
+  ProtocolOptions opts;
+  opts.protocol = protocol;
   auto s = MakePaperScenario(opts).ValueOrDie();
   ScenarioOutcome out = RunFig4(s.get());
   SemanticSerializabilityChecker checker(s->db->compat());
@@ -34,16 +36,8 @@ void RunUnder(const char* name, const ProtocolOptions& opts) {
 int main() {
   std::printf("== Paper Figure 4: Concurrent Execution of Two Open Nested "
               "Transactions ==\n\n");
-  ProtocolOptions semantic;
-  RunUnder("semantic-ont (the paper)", semantic);
-
-  ProtocolOptions flat;
-  flat.protocol = Protocol::kFlat2PL;
-  flat.granularity = LockGranularity::kObject;
-  RunUnder("flat 2PL, object locks (conventional)", flat);
-
-  ProtocolOptions closed;
-  closed.protocol = Protocol::kClosedNested;
-  RunUnder("closed nested transactions [Mo85]", closed);
+  RunUnder("semantic-ont (the paper)", Protocol::kSemanticONT);
+  RunUnder("flat 2PL, object locks (conventional)", Protocol::kFlat2PLObject);
+  RunUnder("closed nested transactions [Mo85]", Protocol::kClosedNested);
   return 0;
 }

@@ -16,9 +16,9 @@ using namespace semcc::orderentry;
 
 namespace {
 
-void RunUnder(const char* name, bool retain_locks) {
+void RunUnder(const char* name, Protocol protocol) {
   ProtocolOptions opts;
-  opts.retain_locks = retain_locks;
+  opts.protocol = protocol;
   auto s = MakePaperScenario(opts).ValueOrDie();
   ScenarioOutcome out = RunFig5(s.get());
   SemanticSerializabilityChecker checker(s->db->compat());
@@ -39,9 +39,9 @@ void RunUnder(const char* name, bool retain_locks) {
 int main() {
   std::printf("== Paper Figure 5: Bypassing an Encapsulated Object ==\n\n");
   RunUnder("naive open nesting (paper §3; locks released at subtxn end)",
-           /*retain_locks=*/false);
+           Protocol::kSemanticNoRetainedLocks);
   RunUnder("the paper's protocol (paper §4; retained locks)",
-           /*retain_locks=*/true);
+           Protocol::kSemanticONT);
   std::printf(
       "Expected shape: the naive protocol admits the execution and the\n"
       "checker finds the T1 -> T3 -> T1 cycle; the paper's protocol blocks\n"

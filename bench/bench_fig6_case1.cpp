@@ -15,9 +15,9 @@ using namespace semcc::orderentry;
 
 namespace {
 
-void RunUnder(const char* name, bool ancestor_walk) {
+void RunUnder(const char* name, Protocol protocol) {
   ProtocolOptions opts;
-  opts.ancestor_walk = ancestor_walk;
+  opts.protocol = protocol;
   auto s = MakePaperScenario(opts).ValueOrDie();
   StopWatch sw;
   ScenarioOutcome out = RunFig6(s.get());
@@ -38,8 +38,10 @@ void RunUnder(const char* name, bool ancestor_walk) {
 int main() {
   std::printf("== Paper Figure 6: Conflicting Actions with Commutative and "
               "Committed Ancestors (Case 1) ==\n\n");
-  RunUnder("paper protocol (commutative-ancestor test ON)", true);
-  RunUnder("ablation (commutative-ancestor test OFF)", false);
+  RunUnder("paper protocol (commutative-ancestor test ON)",
+           Protocol::kSemanticONT);
+  RunUnder("ablation (commutative-ancestor test OFF)",
+           Protocol::kSemanticNoAncestorWalk);
   std::printf("Expected shape: with the test ON, T4 never blocks "
               "(case1 >= 1, root_waits == 0)\nand finishes inside T1's "
               "window; with the test OFF it waits for T1's commit.\n");

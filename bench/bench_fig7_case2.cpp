@@ -15,9 +15,9 @@ using namespace semcc::orderentry;
 
 namespace {
 
-void RunUnder(const char* name, bool ancestor_walk) {
+void RunUnder(const char* name, Protocol protocol) {
   ProtocolOptions opts;
-  opts.ancestor_walk = ancestor_walk;
+  opts.protocol = protocol;
   auto s = MakePaperScenario(opts).ValueOrDie();
   ScenarioOutcome out = RunFig7(s.get());
   std::printf("--- %s ---\n", name);
@@ -33,8 +33,10 @@ void RunUnder(const char* name, bool ancestor_walk) {
 int main() {
   std::printf("== Paper Figure 7: Conflicting Actions with Commutative but "
               "not yet Committed Ancestors (Case 2) ==\n\n");
-  RunUnder("paper protocol (commutative-ancestor test ON)", true);
-  RunUnder("ablation (commutative-ancestor test OFF)", false);
+  RunUnder("paper protocol (commutative-ancestor test ON)",
+           Protocol::kSemanticONT);
+  RunUnder("ablation (commutative-ancestor test OFF)",
+           Protocol::kSemanticNoAncestorWalk);
   std::printf("Expected shape: with the test ON, T5 blocks while "
               "ShipOrder(i1,o1) is active\n(case2 >= 1) and resumes on the "
               "subtransaction's completion, well before T1's\ncommit; with "

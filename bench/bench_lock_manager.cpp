@@ -46,7 +46,7 @@ BENCHMARK(BM_SemanticAcquireRelease);
 
 void BM_Flat2plAcquireRelease(benchmark::State& state) {
   ProtocolOptions opts;
-  opts.protocol = Protocol::kFlat2PL;
+  opts.protocol = Protocol::kFlat2PLObject;
   LockManager lm(opts, Registry());
   for (auto _ : state) {
     TxnTree tree(TxnTree::NextId(), "T", kDatabaseOid, 0);

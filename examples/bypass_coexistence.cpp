@@ -21,7 +21,7 @@ int main() {
   std::printf("   T3 reads order status directly while T1 is mid-flight.\n");
   {
     ProtocolOptions naive;
-    naive.retain_locks = false;
+    naive.protocol = Protocol::kSemanticNoRetainedLocks;
     auto s = MakePaperScenario(naive).ValueOrDie();
     ScenarioOutcome out = RunFig5(s.get());
     SemanticSerializabilityChecker checker(s->db->compat());

@@ -5,9 +5,10 @@ Usage: check_doc_flags.py [--header src/cc/lock_manager.h] [--doc README.md]
                           [--design DESIGN.md] [--experiments EXPERIMENTS.md]
                           [--tuning TUNING.md]
 
-Parses the `struct ProtocolOptions { ... }` block out of the header, and the
-other option structs (OPTION_STRUCTS) out of theirs, with a small
-brace-tracking scanner (no compiler needed), then checks:
+Parses the `struct ProtocolOptions { ... }` block and the `enum class
+Protocol { ... }` enumerators out of the header, and the other option
+structs (OPTION_STRUCTS) out of theirs, with a small brace-tracking scanner
+(no compiler needed), then checks:
 
   1. every ProtocolOptions field appears in the README flag reference AND in
      DESIGN.md AND in EXPERIMENTS.md (a new knob cannot land without user
@@ -20,7 +21,11 @@ brace-tracking scanner (no compiler needed), then checks:
      any of the four docs names a real field of that struct, and
   4. every backticked snake_case identifier in TUNING.md (knobs, stats
      fields, bench columns) occurs in the sources under src/, bench/,
-     tools/ or scripts/.
+     tools/ or scripts/, and
+  5. every Protocol enumerator appears in the `protocol` row of the README
+     flag-reference table AND of EXPERIMENTS.md's knob index (each compared
+     configuration is a Protocol value, not a field, so check 1 alone would
+     let one land undocumented).
 
 Checks 2-4 mean renaming or deleting a knob cannot leave stale prose
 behind. Exits non-zero listing each violation; this runs as the CI
@@ -49,10 +54,11 @@ OPTION_STRUCTS = {
 }
 
 
-def struct_fields(header_text, struct):
-    start = header_text.find(f"struct {struct} ")
+def braced_body(header_text, opener):
+    """Text between the braces that follow `opener` (e.g. "struct X ")."""
+    start = header_text.find(opener)
     if start < 0:
-        raise ValueError(f"struct {struct} not found")
+        raise ValueError(f"{opener.strip()} not found")
     brace = header_text.find("{", start)
     depth = 0
     end = brace
@@ -64,7 +70,11 @@ def struct_fields(header_text, struct):
             if depth == 0:
                 end = i
                 break
-    body = header_text[brace + 1:end]
+    return header_text[brace + 1:end]
+
+
+def struct_fields(header_text, struct):
+    body = braced_body(header_text, f"struct {struct} ")
     fields = []
     for line in body.splitlines():
         stripped = line.split("//")[0].strip()
@@ -78,18 +88,38 @@ def struct_fields(header_text, struct):
     return list(dict.fromkeys(fields))  # dedupe #if-branched fields
 
 
-def flag_table_rows(readme_text):
-    """(lineno, name) of each row in the README's flag-reference table."""
+def enumerators(header_text, enum):
+    """Enumerator names of `enum class <enum>`, in declaration order."""
+    body = braced_body(header_text, f"enum class {enum} ")
+    code = "\n".join(line.split("//")[0] for line in body.splitlines())
+    names = re.findall(r"^\s*(k\w+)", code, re.M)
+    if not names:
+        raise ValueError(f"no enumerators parsed from {enum}")
+    return names
+
+
+def table_rows(text, heading):
+    """(lineno, name, line) of each table row under the `## <heading>`
+    section whose first cell is one backticked name."""
     rows = []
     in_table_section = False
-    for lineno, line in enumerate(readme_text.splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if line.startswith("## "):
-            in_table_section = line.startswith("## Flag reference")
+            in_table_section = line.startswith(f"## {heading}")
             continue
         m = re.match(r"\|\s*`([^`]+)`\s*\|", line)
         if in_table_section and m:
-            rows.append((lineno, m.group(1)))
+            rows.append((lineno, m.group(1), line))
     return rows
+
+
+def missing_enumerators(text, heading, names):
+    """Enumerators absent from the `protocol` row of the table under
+    `heading`, or None if the section has no such row."""
+    for _, name, line in table_rows(text, heading):
+        if name == "protocol":
+            return [e for e in names if not re.search(rf"\b{e}\b", line)]
+    return None
 
 
 def source_identifiers(repo):
@@ -139,6 +169,7 @@ def main():
 
     header_text = pathlib.Path(args.header).read_text()
     fields = struct_fields(header_text, "ProtocolOptions")
+    protocols = enumerators(header_text, "Protocol")
     option_fields = {"ProtocolOptions": set(fields)}
     for struct, header in OPTION_STRUCTS.items():
         option_fields[struct] = set(
@@ -151,6 +182,10 @@ def main():
         args.experiments: "(record the knob's ablation/experiment, or at "
                           "least name it, in EXPERIMENTS.md)",
     }
+
+    # Check 5: where each document lists the Protocol values.
+    protocol_rows = {args.doc: "Flag reference",
+                     args.experiments: "Knob → experiment index"}
 
     failed = False
     rows = []
@@ -179,13 +214,27 @@ def main():
                   "(renamed or removed knob? update the prose)")
         failed = failed or bool(stale)
 
+        if doc in protocol_rows:
+            heading = protocol_rows[doc]
+            absent = missing_enumerators(text, heading, protocols)
+            if absent is None:
+                print(f"doc-lint: {doc} has no `protocol` row under "
+                      f"'## {heading}'")
+                failed = True
+            elif absent:
+                print(f"doc-lint: {doc}: the `protocol` row under "
+                      f"'## {heading}' is missing these Protocol values:")
+                for e in absent:
+                    print(f"  {e}")
+                failed = True
+
         if doc == args.doc:
-            rows = flag_table_rows(text)
+            rows = table_rows(text, "Flag reference")
             if not rows:
                 print(f"doc-lint: {doc} has no flag-reference table rows "
                       "(expected under a '## Flag reference' heading)")
                 failed = True
-            for lineno, name in rows:
+            for lineno, name, _ in rows:
                 if name not in fields:
                     print(f"doc-lint: {doc}:{lineno}: flag-reference row "
                           f"`{name}` names no ProtocolOptions field "
@@ -203,7 +252,9 @@ def main():
         return 1
     print(f"doc-lint: all {len(fields)} ProtocolOptions fields documented "
           f"in README, DESIGN, and EXPERIMENTS; all {len(rows)} README flag "
-          "rows, option-struct mentions and TUNING identifiers resolve")
+          "rows, option-struct mentions and TUNING identifiers resolve; "
+          f"all {len(protocols)} Protocol values listed in README and "
+          "EXPERIMENTS")
     return 0
 
 

@@ -60,8 +60,9 @@ ScenarioOutcome RunFig4(PaperScenario* s);
 
 /// Figure 5: T1 (ship o1@i1, o2@i2) with T3 checking shipment *directly on
 /// the Order objects* between T1's two actions. Under the paper's protocol
-/// T3 must block until T1 commits; the §3 protocol (retain_locks=false)
-/// lets it through and produces a non-serializable history.
+/// T3 must block until T1 commits; the §3 protocol
+/// (Protocol::kSemanticNoRetainedLocks) lets it through and produces a
+/// non-serializable history.
 ScenarioOutcome RunFig5(PaperScenario* s);
 
 /// Figure 6 (Case 1): after T1 completed ShipOrder(i1, o1) (and is busy with

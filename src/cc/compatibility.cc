@@ -495,19 +495,6 @@ std::optional<bool> CompatibilityRegistry::GenericCommute(MethodId m1,
   return keys_differ(upd_args, other_args);
 }
 
-std::optional<bool> CompatibilityRegistry::GenericCommute(const std::string& m1,
-                                                          const Args& a1,
-                                                          const std::string& m2,
-                                                          const Args& a2) {
-  MethodInterner& interner = MethodInterner::Global();
-  const MethodId i1 = interner.Lookup(m1);
-  const MethodId i2 = interner.Lookup(m2);
-  // Generic ops are pre-interned at fixed ids; anything unknown to the
-  // interner is certainly not generic.
-  if (i1 == kInvalidMethodId || i2 == kInvalidMethodId) return std::nullopt;
-  return GenericCommute(i1, a1, i2, a2);
-}
-
 std::vector<std::string> CompatibilityRegistry::MethodsOf(TypeId type) const {
   ReaderMutexLock guard(mu_);
   auto it = methods_.find(type);

@@ -205,13 +205,6 @@ class CompatibilityRegistry {
   static std::optional<bool> GenericCommute(MethodId m1, const Args& a1,
                                             MethodId m2, const Args& a2);
 
-  /// Built-in commutativity of generic operations by name; nullopt if
-  /// (m1, m2) is not a generic pair.
-  static std::optional<bool> GenericCommute(const std::string& m1,
-                                            const Args& a1,
-                                            const std::string& m2,
-                                            const Args& a2);
-
   /// Declared methods of a type, in declaration order.
   std::vector<std::string> MethodsOf(TypeId type) const;
 

@@ -23,22 +23,18 @@ const char* ProtocolName(Protocol p) {
   switch (p) {
     case Protocol::kSemanticONT:
       return "semantic-ont";
+    case Protocol::kSemanticNoAncestorWalk:
+      return "semantic-no-walk";
+    case Protocol::kSemanticNoRetainedLocks:
+      return "semantic-no-retain";
     case Protocol::kClosedNested:
       return "closed-nested";
-    case Protocol::kFlat2PL:
-      return "flat-2pl";
-  }
-  return "?";
-}
-
-const char* GranularityName(LockGranularity g) {
-  switch (g) {
-    case LockGranularity::kObject:
-      return "object";
-    case LockGranularity::kRecord:
-      return "record";
-    case LockGranularity::kPage:
-      return "page";
+    case Protocol::kFlat2PLObject:
+      return "2pl-object";
+    case Protocol::kFlat2PLRecord:
+      return "2pl-record";
+    case Protocol::kFlat2PLPage:
+      return "2pl-page";
   }
   return "?";
 }
@@ -231,7 +227,7 @@ SubTxn* LockManager::TestConflictSemantic(const LockEntry& h, SubTxn* r,
     *why = ConflictOutcome::kCommute;
     return nullptr;
   }
-  if (options_.ancestor_walk) {
+  if (options_.protocol != Protocol::kSemanticNoAncestorWalk) {
     // "for all h' in the ancestor chain of h do for all r' in the ancestor
     // chain of r do if h' and r' commute ..." — a pair commutes only if it
     // acts on the *same* object (semantic knowledge exists per object); the
@@ -311,16 +307,11 @@ SubTxn* LockManager::TestConflictFlat(const LockEntry& h, SubTxn* r,
 
 SubTxn* LockManager::TestConflict(const LockEntry& h, SubTxn* r,
                                   bool r_is_write, ConflictOutcome* why) const {
-  switch (options_.protocol) {
-    case Protocol::kSemanticONT:
-      return TestConflictSemantic(h, r, why);
-    case Protocol::kClosedNested:
-      return TestConflictClosed(h, r, r_is_write, why);
-    case Protocol::kFlat2PL:
-      return TestConflictFlat(h, r, r_is_write, why);
+  if (IsSemantic(options_.protocol)) return TestConflictSemantic(h, r, why);
+  if (options_.protocol == Protocol::kClosedNested) {
+    return TestConflictClosed(h, r, r_is_write, why);
   }
-  *why = ConflictOutcome::kNoLock;
-  return nullptr;
+  return TestConflictFlat(h, r, r_is_write, why);
 }
 
 void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
@@ -678,8 +669,7 @@ void LockManager::EraseWaitRecord(SubTxn* t) {
 }
 
 void LockManager::AnnotateKeyInterval(SubTxn* t, LockTarget* target) const {
-  if (!options_.keyrange_locks ||
-      options_.protocol != Protocol::kSemanticONT ||
+  if (!options_.keyrange_locks || !IsSemantic(options_.protocol) ||
       target->space != LockTarget::Space::kObject) {
     return;
   }
@@ -899,58 +889,53 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
                   ConflictOutcome::kNoLock, nullptr, 0, 0);
   }
   ShardSet wake;
-  switch (options_.protocol) {
-    case Protocol::kSemanticONT:
-      if (!options_.retain_locks) {
-        // §3 protocol: "the locks of the actions in a subtransaction are
-        // released upon the completion of the subtransaction" — drop every
-        // lock owned by a proper descendant of t; t's own lock remains until
-        // t's parent completes (only the root's semantic locks survive to
-        // the end of the transaction). Shards are swept one at a time (a
-        // thread never holds two shard mutexes); shards the tree never
-        // touched are skipped via the root's shard mask.
-        const uint64_t mask = t->root()->lock_shards();
-        for (size_t i = 0; i < shards_.size(); ++i) {
-          if (!MaskHasShard(mask, i)) continue;
-          LockShard& shard = *shards_[i];
-          MutexLock l(shard.mu);
-          bool changed = false;
-          for (auto it = shard.table.begin(); it != shard.table.end();) {
-            LockQueue& q = it->second;
-            for (auto e = q.entries.begin(); e != q.entries.end();) {
-              if (e->granted && t->IsAncestorOf(e->acquirer)) {
-                counters_.Inc(i, kCtrReleasedEntries);
-                e = q.entries.erase(e);
-                changed = true;
-              } else {
-                ++e;
-              }
-            }
-            it = q.entries.empty() ? shard.table.erase(it) : std::next(it);
-          }
-          if (changed) wake.set(i);
-        }
-      }
-      break;
-    case Protocol::kClosedNested:
-      // Anti-inheritance: the parent adopts the completed child's locks.
-      if (t->parent() != nullptr) {
-        const uint64_t mask = t->root()->lock_shards();
-        for (size_t i = 0; i < shards_.size(); ++i) {
-          if (!MaskHasShard(mask, i)) continue;
-          LockShard& shard = *shards_[i];
-          MutexLock l(shard.mu);
-          for (auto& [target, q] : shard.table) {
-            (void)target;
-            for (LockEntry& e : q.entries) {
-              if (e.owner == t && e.granted) e.owner = t->parent();
-            }
+  // Only two values act on completion. Under the others a completed
+  // subtransaction's locks stay until top-level commit, as retained locks
+  // (semantic) or as root-owned strict locks (flat 2PL).
+  if (options_.protocol == Protocol::kSemanticNoRetainedLocks) {
+    // §3 protocol: "the locks of the actions in a subtransaction are
+    // released upon the completion of the subtransaction" — drop every lock
+    // owned by a proper descendant of t; t's own lock remains until t's
+    // parent completes (only the root's semantic locks survive to the end
+    // of the transaction). Shards are swept one at a time (a thread never
+    // holds two shard mutexes); shards the tree never touched are skipped
+    // via the root's shard mask.
+    const uint64_t mask = t->root()->lock_shards();
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (!MaskHasShard(mask, i)) continue;
+      LockShard& shard = *shards_[i];
+      MutexLock l(shard.mu);
+      bool changed = false;
+      for (auto it = shard.table.begin(); it != shard.table.end();) {
+        LockQueue& q = it->second;
+        for (auto e = q.entries.begin(); e != q.entries.end();) {
+          if (e->granted && t->IsAncestorOf(e->acquirer)) {
+            counters_.Inc(i, kCtrReleasedEntries);
+            e = q.entries.erase(e);
+            changed = true;
+          } else {
+            ++e;
           }
         }
+        it = q.entries.empty() ? shard.table.erase(it) : std::next(it);
       }
-      break;
-    case Protocol::kFlat2PL:
-      break;  // all locks are root-owned and strict
+      if (changed) wake.set(i);
+    }
+  } else if (options_.protocol == Protocol::kClosedNested &&
+             t->parent() != nullptr) {
+    // Anti-inheritance: the parent adopts the completed child's locks.
+    const uint64_t mask = t->root()->lock_shards();
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (!MaskHasShard(mask, i)) continue;
+      LockShard& shard = *shards_[i];
+      MutexLock l(shard.mu);
+      for (auto& [target, q] : shard.table) {
+        (void)target;
+        for (LockEntry& e : q.entries) {
+          if (e.owner == t && e.granted) e.owner = t->parent();
+        }
+      }
+    }
   }
   if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
     inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);

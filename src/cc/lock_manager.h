@@ -18,8 +18,8 @@
 //
 // The same lock table also hosts the conventional baselines (closed nested
 // transactions [Mo85], flat strict 2PL at object/record/page granularity)
-// selected via ProtocolOptions, so benchmarks compare protocols on identical
-// infrastructure.
+// selected via ProtocolOptions::protocol, so benchmarks compare protocols on
+// identical infrastructure.
 //
 // Concurrency structure (see DESIGN.md §5, "Lock-manager internals"): the
 // lock table is split into ProtocolOptions::lock_table_shards shards, each
@@ -69,40 +69,41 @@
 
 namespace semcc {
 
-/// \brief Concurrency-control protocol selector.
+/// \brief The compared configurations: the paper's protocol, its two
+/// ablations, and the conventional baselines it is measured against. The
+/// semantic values come first (see IsSemantic).
 enum class Protocol : int {
   /// The paper's protocol: semantic locks on every action, open nested
   /// transactions, retained locks + commutative-ancestor relief (Fig. 8/9).
   kSemanticONT = 0,
+  /// kSemanticONT without the commutative-ancestor walk (no Case 1 / Case 2
+  /// relief): every retained-lock conflict waits for top-level commit.
+  /// Correct but needlessly blocking; the Figure 6/7 ablation.
+  kSemanticNoAncestorWalk = 1,
+  /// The §3 protocol: a completed subtransaction's descendant locks are
+  /// dropped instead of retained. *Incorrect under bypassing*; it exists as
+  /// the Figure 5 foil and for ablations.
+  kSemanticNoRetainedLocks = 2,
   /// Closed nested transactions [Mo85]: read/write locks at the leaves,
   /// anti-inherited by the parent on subtransaction commit; no semantics.
-  kClosedNested = 1,
-  /// Conventional flat strict 2PL: read/write locks held to top-level
-  /// commit, at the granularity in ProtocolOptions::granularity.
-  kFlat2PL = 2,
+  kClosedNested = 3,
+  /// Conventional flat strict 2PL: read/write locks on the accessed object,
+  /// its storage record, or its page, held to top-level commit (§1.1).
+  kFlat2PLObject = 4,
+  kFlat2PLRecord = 5,
+  kFlat2PLPage = 6,
 };
 
 const char* ProtocolName(Protocol p);
 
-/// \brief Lock-name space for the flat baselines.
-enum class LockGranularity : int { kObject = 0, kRecord = 1, kPage = 2 };
-
-const char* GranularityName(LockGranularity g);
+/// True for the values that lock methods semantically (kSemanticONT and its
+/// two ablations).
+inline bool IsSemantic(Protocol p) {
+  return p <= Protocol::kSemanticNoRetainedLocks;
+}
 
 struct ProtocolOptions {
   Protocol protocol = Protocol::kSemanticONT;
-  LockGranularity granularity = LockGranularity::kObject;
-
-  /// kSemanticONT only. If false, a completed subtransaction's descendant
-  /// locks are dropped (the §3 protocol). This is the *incorrect-under-
-  /// bypassing* variant that Figure 5 exposes; it exists for that experiment
-  /// and for ablations.
-  bool retain_locks = true;
-
-  /// kSemanticONT only. If false, test-conflict skips the commutative-
-  /// ancestor walk (no Case 1 / Case 2 relief): every retained-lock conflict
-  /// waits for top-level commit. Correct but needlessly blocking; ablation.
-  bool ancestor_walk = true;
 
   /// Upper bound on one lock wait (a safety net — the deadlock detector
   /// breaks wait cycles, so waits should resolve). A wait that reaches it
@@ -134,8 +135,8 @@ struct ProtocolOptions {
   /// RunReadTransaction degrades to the ordinary locking path.
   bool mvcc_reads = false;
 
-  /// Key-range semantic locks on set ADTs (DESIGN.md §5.8). Under
-  /// kSemanticONT, Acquire annotates each request with the closed key
+  /// Key-range semantic locks on set ADTs (DESIGN.md §5.8). Under the
+  /// semantic values, Acquire annotates each request with the closed key
   /// interval its method touches inside the object (derived from the
   /// CompatibilityRegistry's declarative method specs and the actual
   /// arguments), and the conflict scan skips any queue entry whose interval

@@ -100,10 +100,6 @@ MatrixVerifier::MatrixVerifier(const CompatibilityRegistry* compat)
   samples_.push_back(Args{Value(int64_t{1}), Value(int64_t{2})});
 }
 
-void MatrixVerifier::AddSampleArgs(Args args) {
-  samples_.push_back(std::move(args));
-}
-
 std::vector<std::string> MatrixVerifier::MethodUniverse(TypeId type) const {
   std::vector<std::string> universe = compat_->MethodsOf(type);
   std::set<std::string> seen(universe.begin(), universe.end());

@@ -76,11 +76,6 @@ class MatrixVerifier {
  public:
   explicit MatrixVerifier(const CompatibilityRegistry* compat);
 
-  /// Add an argument vector to the predicate sample set (the
-  /// built-in set covers nullary, int-keyed, string-event, and two-arg
-  /// shapes; ADTs with exotic predicates can extend it).
-  void AddSampleArgs(Args args);
-
   /// Run every check over every registered type.
   MatrixVerifyReport Verify() const;
 

@@ -362,14 +362,4 @@ uint64_t ObjectStore::num_objects() const {
   return objects_.size();
 }
 
-std::string ObjectStore::DebugString(Oid oid) const {
-  auto meta_r = Find(oid);
-  if (!meta_r.ok()) return "<" + meta_r.status().ToString() + ">";
-  ObjectMeta* meta = meta_r.ValueOrDie();
-  std::string out = "@" + std::to_string(oid) + ":" +
-                    schema_->TypeName(meta->type) + "(" +
-                    ObjectKindName(meta->kind) + ")";
-  return out;
-}
-
 }  // namespace semcc

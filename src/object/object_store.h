@@ -114,7 +114,6 @@ class ObjectStore {
   Result<PageId> PageOf(Oid oid) const;
 
   uint64_t num_objects() const;
-  std::string DebugString(Oid oid) const;
 
   Schema* schema() const { return schema_; }
 

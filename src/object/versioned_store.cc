@@ -430,11 +430,6 @@ VersionStats VersionedObjectStore::stats() const {
   return s;
 }
 
-uint64_t VersionedObjectStore::commit_ts() const {
-  MutexLock lock(mu_);
-  return commit_ts_;
-}
-
 void VersionedObjectStore::SetInstallLogEnabled(bool enabled) {
   MutexLock lock(mu_);
   install_log_enabled_ = enabled;

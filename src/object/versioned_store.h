@@ -166,7 +166,6 @@ class VersionedObjectStore {
   Status CheckInvariants() const;
 
   VersionStats stats() const;
-  uint64_t commit_ts() const;
 
   /// Record every install (ts, roots, oids) for the serializability checker;
   /// off by default (perf runs must not accumulate).

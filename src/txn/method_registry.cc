@@ -32,18 +32,4 @@ Result<const MethodDef*> MethodRegistry::Find(TypeId type,
   return &it->second;
 }
 
-bool MethodRegistry::Has(TypeId type, const std::string& name) const {
-  MutexLock guard(mu_);
-  return methods_.count(std::make_pair(type, name)) > 0;
-}
-
-std::vector<std::string> MethodRegistry::MethodsOf(TypeId type) const {
-  MutexLock guard(mu_);
-  std::vector<std::string> out;
-  for (const auto& [key, def] : methods_) {
-    if (key.first == type) out.push_back(key.second);
-  }
-  return out;
-}
-
 }  // namespace semcc

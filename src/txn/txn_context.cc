@@ -61,46 +61,23 @@ Status TxnCtx::AcquireForAction(SubTxn* node, bool is_write, bool is_leaf) {
     node->set_grant_seq(lm_->NextSeq());
     return Status::OK();
   }
-  const ProtocolOptions& opts = lm_->options();
-  switch (opts.protocol) {
-    case Protocol::kSemanticONT:
-      // Every action acquires a semantic lock on its object (Figure 8).
-      return lm_->Acquire(node, LockTarget::ForObject(node->object()),
-                          is_write);
-    case Protocol::kClosedNested:
-      // Conventional read/write locking at the access level; method
-      // invocations carry no lock of their own.
-      if (!is_leaf) {
-        node->set_grant_seq(lm_->NextSeq());
-        return Status::OK();
-      }
-      return lm_->Acquire(node, LockTarget::ForObject(node->object()),
-                          is_write);
-    case Protocol::kFlat2PL: {
-      if (!is_leaf) {
-        node->set_grant_seq(lm_->NextSeq());
-        return Status::OK();
-      }
-      LockTarget target;
-      switch (opts.granularity) {
-        case LockGranularity::kObject:
-          target = LockTarget::ForObject(node->object());
-          break;
-        case LockGranularity::kRecord: {
-          SEMCC_ASSIGN_OR_RETURN(Rid rid, store_->RidOf(node->object()));
-          target = LockTarget::ForRecord(rid);
-          break;
-        }
-        case LockGranularity::kPage: {
-          SEMCC_ASSIGN_OR_RETURN(PageId page, store_->PageOf(node->object()));
-          target = LockTarget::ForPage(page);
-          break;
-        }
-      }
-      return lm_->Acquire(node, target, is_write);
-    }
+  // Under the semantic protocols every action acquires a semantic lock on
+  // its object (Figure 8). Closed nesting and flat 2PL lock at the access
+  // level only: method invocations carry no lock of their own.
+  const Protocol protocol = lm_->options().protocol;
+  if (!IsSemantic(protocol) && !is_leaf) {
+    node->set_grant_seq(lm_->NextSeq());
+    return Status::OK();
   }
-  return Status::Internal("unknown protocol");
+  LockTarget target = LockTarget::ForObject(node->object());
+  if (protocol == Protocol::kFlat2PLRecord) {
+    SEMCC_ASSIGN_OR_RETURN(Rid rid, store_->RidOf(node->object()));
+    target = LockTarget::ForRecord(rid);
+  } else if (protocol == Protocol::kFlat2PLPage) {
+    SEMCC_ASSIGN_OR_RETURN(PageId page, store_->PageOf(node->object()));
+    target = LockTarget::ForPage(page);
+  }
+  return lm_->Acquire(node, target, is_write);
 }
 
 void TxnCtx::CommitAction(SubTxn* node, std::function<void()> inverse,
@@ -496,14 +473,6 @@ Result<Oid> TxnCtx::CreateTuple(
   }
   LogBegin();
   return store_->CreateTuple(type, std::move(components));
-}
-
-Result<Oid> TxnCtx::CreateSet(TypeId type) {
-  if (snapshot_mode()) {
-    return Status::PreconditionFailed("Create in snapshot-read transaction");
-  }
-  LogBegin();
-  return store_->CreateSet(type);
 }
 
 // --- compensation -----------------------------------------------------------

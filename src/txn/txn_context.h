@@ -114,7 +114,6 @@ class TxnCtx {
   Result<Oid> CreateAtomic(TypeId type, const Value& initial);
   Result<Oid> CreateTuple(TypeId type,
                           std::vector<std::pair<std::string, Oid>> components);
-  Result<Oid> CreateSet(TypeId type);
 
   // --- introspection ------------------------------------------------------
 

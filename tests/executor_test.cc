@@ -137,8 +137,11 @@ TEST_F(ExecutorTest, GetOnTupleObjectRejected) {
 }
 
 TEST_F(ExecutorTest, SameBodyRunsUnderEveryProtocol) {
-  for (Protocol protocol : {Protocol::kSemanticONT, Protocol::kClosedNested,
-                            Protocol::kFlat2PL}) {
+  for (Protocol protocol :
+       {Protocol::kSemanticONT, Protocol::kSemanticNoAncestorWalk,
+        Protocol::kSemanticNoRetainedLocks, Protocol::kClosedNested,
+        Protocol::kFlat2PLObject, Protocol::kFlat2PLRecord,
+        Protocol::kFlat2PLPage}) {
     DatabaseOptions options;
     options.protocol.protocol = protocol;
     Database db2(options);
@@ -148,11 +151,37 @@ TEST_F(ExecutorTest, SameBodyRunsUnderEveryProtocol) {
     spec.orders_per_item = 2;
     spec.initial_qoh = 10;
     auto data2 = Load(&db2, types2, spec).ValueOrDie();
-    ASSERT_TRUE(db2.RunTransaction("t", T1_ShipTwoOrders(data2.item_oids[0], 1,
-                                                         data2.item_oids[1], 1))
-                    .ok())
-        << ProtocolName(protocol);
-    EXPECT_LT(ReadQohRaw(&db2, data2.item_oids[0]).ValueOrDie(), 10)
+    const Oid item = data2.item_oids[0];
+    const Oid qoh = db2.store()->Component(item, "QuantityOnHand").ValueOrDie();
+    const LockTarget qoh_targets[] = {
+        LockTarget::ForObject(qoh),
+        LockTarget::ForRecord(db2.store()->RidOf(qoh).ValueOrDie()),
+        LockTarget::ForPage(db2.store()->PageOf(qoh).ValueOrDie())};
+    const LockTarget& named =
+        protocol == Protocol::kFlat2PLRecord ? qoh_targets[1]
+        : protocol == Protocol::kFlat2PLPage ? qoh_targets[2]
+                                             : qoh_targets[0];
+    auto r = db2.RunTransaction("t", [&](TxnCtx& ctx) -> Result<Value> {
+      SEMCC_ASSIGN_OR_RETURN(Value shipped,
+                             ctx.Invoke(item, "ShipOrder", {Value(1)}));
+      (void)shipped;
+      // Only the semantic values lock the method's own object.
+      EXPECT_EQ(!db2.locks()->LocksOn(LockTarget::ForObject(item)).empty(),
+                IsSemantic(protocol))
+          << ProtocolName(protocol);
+      // The QuantityOnHand leaf is locked in the space the value names,
+      // except under the §3 protocol, which dropped it when ShipOrder
+      // completed.
+      for (const LockTarget& target : qoh_targets) {
+        EXPECT_EQ(!db2.locks()->LocksOn(target).empty(),
+                  &target == &named &&
+                      protocol != Protocol::kSemanticNoRetainedLocks)
+            << ProtocolName(protocol) << " " << target.ToString();
+      }
+      return ctx.Invoke(data2.item_oids[1], "ShipOrder", {Value(1)});
+    });
+    ASSERT_TRUE(r.ok()) << ProtocolName(protocol);
+    EXPECT_LT(ReadQohRaw(&db2, item).ValueOrDie(), 10)
         << ProtocolName(protocol);
   }
 }

@@ -180,7 +180,7 @@ TEST_F(LockManagerTest, Case2ActiveCommutingAncestorWaitsForItsCompletion) {
 
 TEST_F(LockManagerTest, NoRetainModeReleasesDescendantLocksOnCompletion) {
   ProtocolOptions o;
-  o.retain_locks = false;  // the §3 protocol
+  o.protocol = Protocol::kSemanticNoRetainedLocks;  // the §3 protocol
   auto lm = Make(o);
   TxnTree t1(TxnTree::NextId(), "T1", kDatabaseOid, 0);
   SubTxn* ma = t1.NewNode(t1.root(), kObjA, kItemT, "Ma", {});
@@ -453,7 +453,7 @@ TEST_F(LockManagerTest, ClosedNestedSharedReadsPass) {
 
 TEST_F(LockManagerTest, FlatSharedAndExclusiveModes) {
   ProtocolOptions o;
-  o.protocol = Protocol::kFlat2PL;
+  o.protocol = Protocol::kFlat2PLObject;
   auto lm = Make(o);
   TxnTree t1(TxnTree::NextId(), "T1", kDatabaseOid, 0);
   TxnTree t2(TxnTree::NextId(), "T2", kDatabaseOid, 0);
@@ -478,7 +478,7 @@ TEST_F(LockManagerTest, FlatSharedAndExclusiveModes) {
 
 TEST_F(LockManagerTest, DistinctTargetSpacesDoNotCollide) {
   ProtocolOptions o;
-  o.protocol = Protocol::kFlat2PL;
+  o.protocol = Protocol::kFlat2PLObject;
   auto lm = Make(o);
   TxnTree t1(TxnTree::NextId(), "T1", kDatabaseOid, 0);
   TxnTree t2(TxnTree::NextId(), "T2", kDatabaseOid, 0);
@@ -748,9 +748,14 @@ TEST(LockTarget, FactoriesAndToString) {
 
 TEST(ProtocolNames, Strings) {
   EXPECT_STREQ(ProtocolName(Protocol::kSemanticONT), "semantic-ont");
+  EXPECT_STREQ(ProtocolName(Protocol::kSemanticNoAncestorWalk),
+               "semantic-no-walk");
+  EXPECT_STREQ(ProtocolName(Protocol::kSemanticNoRetainedLocks),
+               "semantic-no-retain");
   EXPECT_STREQ(ProtocolName(Protocol::kClosedNested), "closed-nested");
-  EXPECT_STREQ(ProtocolName(Protocol::kFlat2PL), "flat-2pl");
-  EXPECT_STREQ(GranularityName(LockGranularity::kPage), "page");
+  EXPECT_STREQ(ProtocolName(Protocol::kFlat2PLObject), "2pl-object");
+  EXPECT_STREQ(ProtocolName(Protocol::kFlat2PLRecord), "2pl-record");
+  EXPECT_STREQ(ProtocolName(Protocol::kFlat2PLPage), "2pl-page");
 }
 
 }  // namespace

@@ -170,7 +170,7 @@ struct MetricsLockTest : public ::testing::Test {
 };
 
 TEST_F(MetricsLockTest, GrantedMinusReleasedCountsLiveEntriesMidRun) {
-  ProtocolOptions o;  // retain_locks on: completion keeps the entries
+  ProtocolOptions o;  // kSemanticONT: completion keeps the entries
   LockManager lm(o, &compat);
   TxnTree t1(TxnTree::NextId(), "T1", kDatabaseOid, 0);
   std::vector<SubTxn*> nodes;

@@ -19,9 +19,6 @@ namespace {
 struct ProtocolParam {
   const char* name;
   Protocol protocol;
-  LockGranularity granularity;
-  bool ancestor_walk;
-  bool rw_checkable;  // leaf accesses are classically serializable
   double zipf_theta;
 };
 
@@ -35,8 +32,6 @@ class WorkloadProperty : public ::testing::TestWithParam<ProtocolParam> {
     const ProtocolParam& p = GetParam();
     DatabaseOptions options;
     options.protocol.protocol = p.protocol;
-    options.protocol.granularity = p.granularity;
-    options.protocol.ancestor_walk = p.ancestor_walk;
     db = std::make_unique<Database>(options);
     types = Install(db.get()).ValueOrDie();
 
@@ -86,9 +81,11 @@ class WorkloadProperty : public ::testing::TestWithParam<ProtocolParam> {
       EXPECT_EQ(db->store()->SetSize(orders).ValueOrDie(),
                 static_cast<size_t>(6 + new_orders[item]))
           << "item " << i;
-      // (3) Status bits: shipped/paid set iff some committed transaction
-      //     shipped/paid that order (bits are monotone; pre-loaded bits are
-      //     accounted via the initial scan below).
+      // (3) Status bits, one direction only: the shipped/paid bit must be
+      //     set if some committed transaction shipped/paid that order.
+      //     Bits pre-loaded by Setup are not checked, and neither is a set
+      //     bit that no committed transaction explains (ROADMAP.md item H
+      //     makes this check two-sided).
       // Materialize the scan: iterating `SetScan(...).ValueOrDie()` directly
       // dangles in C++20 — the temporary Result dies before the loop body.
       const auto scan = db->store()->SetScan(orders).ValueOrDie();
@@ -116,7 +113,7 @@ TEST_P(WorkloadProperty, ConcurrentRunIsCorrect) {
   auto result = workload->Run(/*threads=*/4, /*txns_per_thread=*/120);
   EXPECT_GT(result.committed, 300u);  // most work must get through
 
-  if (GetParam().protocol == Protocol::kSemanticONT) {
+  if (IsSemantic(GetParam().protocol)) {
     // The tree-reduction checker derives ordering obligations from method-
     // level conflicts, which are lock-mediated only under the semantic
     // protocol; conventional histories are validated by the classical R/W
@@ -125,8 +122,7 @@ TEST_P(WorkloadProperty, ConcurrentRunIsCorrect) {
     SemanticSerializabilityChecker checker(db->compat());
     auto check = checker.Check(db->history()->Snapshot());
     EXPECT_TRUE(check.serializable) << check.ToString();
-  }
-  if (GetParam().rw_checkable) {
+  } else {
     auto rw = CheckRWConflictSerializability(db->history()->Snapshot());
     EXPECT_TRUE(rw.serializable) << rw.ToString();
   }
@@ -145,20 +141,14 @@ TEST_P(WorkloadProperty, SingleThreadedRunIsSerialAndCorrect) {
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, WorkloadProperty,
     ::testing::Values(
-        ProtocolParam{"semantic", Protocol::kSemanticONT,
-                      LockGranularity::kObject, true, false, 0.6},
-        ProtocolParam{"semantic_hot", Protocol::kSemanticONT,
-                      LockGranularity::kObject, true, false, 0.99},
-        ProtocolParam{"semantic_nowalk", Protocol::kSemanticONT,
-                      LockGranularity::kObject, false, false, 0.6},
-        ProtocolParam{"closed_nested", Protocol::kClosedNested,
-                      LockGranularity::kObject, true, true, 0.6},
-        ProtocolParam{"flat_object", Protocol::kFlat2PL,
-                      LockGranularity::kObject, true, true, 0.6},
-        ProtocolParam{"flat_record", Protocol::kFlat2PL,
-                      LockGranularity::kRecord, true, true, 0.6},
-        ProtocolParam{"flat_page", Protocol::kFlat2PL, LockGranularity::kPage,
-                      true, true, 0.6}),
+        ProtocolParam{"semantic", Protocol::kSemanticONT, 0.6},
+        ProtocolParam{"semantic_hot", Protocol::kSemanticONT, 0.99},
+        ProtocolParam{"semantic_nowalk", Protocol::kSemanticNoAncestorWalk,
+                      0.6},
+        ProtocolParam{"closed_nested", Protocol::kClosedNested, 0.6},
+        ProtocolParam{"flat_object", Protocol::kFlat2PLObject, 0.6},
+        ProtocolParam{"flat_record", Protocol::kFlat2PLRecord, 0.6},
+        ProtocolParam{"flat_page", Protocol::kFlat2PLPage, 0.6}),
     [](const ::testing::TestParamInfo<ProtocolParam>& info) {
       return info.param.name;
     });

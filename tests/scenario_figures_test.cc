@@ -12,29 +12,10 @@ namespace semcc {
 namespace orderentry {
 namespace {
 
-ProtocolOptions Semantic() {
+std::unique_ptr<PaperScenario> Scenario(Protocol protocol) {
   ProtocolOptions o;
-  o.protocol = Protocol::kSemanticONT;
-  return o;
-}
-
-ProtocolOptions Naive() {
-  ProtocolOptions o = Semantic();
-  o.retain_locks = false;  // the §3 protocol that Figure 5 breaks
-  return o;
-}
-
-ProtocolOptions NoAncestorWalk() {
-  ProtocolOptions o = Semantic();
-  o.ancestor_walk = false;  // correct but without Case 1/2 relief
-  return o;
-}
-
-ProtocolOptions Flat(LockGranularity g) {
-  ProtocolOptions o;
-  o.protocol = Protocol::kFlat2PL;
-  o.granularity = g;
-  return o;
+  o.protocol = protocol;
+  return MakePaperScenario(o).ValueOrDie();
 }
 
 CheckResult CheckSemantic(PaperScenario* s) {
@@ -45,7 +26,7 @@ CheckResult CheckSemantic(PaperScenario* s) {
 // --- Figure 4 ---------------------------------------------------------------
 
 TEST(Fig4, SemanticProtocolAdmitsTheInterleaving) {
-  auto s = MakePaperScenario(Semantic()).ValueOrDie();
+  auto s = Scenario(Protocol::kSemanticONT);
   ScenarioOutcome out = RunFig4(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
@@ -58,7 +39,7 @@ TEST(Fig4, SemanticProtocolAdmitsTheInterleaving) {
 }
 
 TEST(Fig4, Flat2PLSerializesTheSameSchedule) {
-  auto s = MakePaperScenario(Flat(LockGranularity::kObject)).ValueOrDie();
+  auto s = Scenario(Protocol::kFlat2PLObject);
   ScenarioOutcome out = RunFig4(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
@@ -72,7 +53,7 @@ TEST(Fig4, Flat2PLSerializesTheSameSchedule) {
 TEST(Fig4, HistoryIsSemanticallySerializableUnderBothSerialOrders) {
   // The Figure 4 execution commits T1 and T2 with interleaved subtrees; the
   // checker must find *a* serial order (either T1,T2 or T2,T1).
-  auto s = MakePaperScenario(Semantic()).ValueOrDie();
+  auto s = Scenario(Protocol::kSemanticONT);
   RunFig4(s.get());
   CheckResult check = CheckSemantic(s.get());
   ASSERT_TRUE(check.serializable) << check.ToString();
@@ -80,9 +61,7 @@ TEST(Fig4, HistoryIsSemanticallySerializableUnderBothSerialOrders) {
 }
 
 TEST(Fig4, ClosedNestedAlsoSerializes) {
-  ProtocolOptions o;
-  o.protocol = Protocol::kClosedNested;
-  auto s = MakePaperScenario(o).ValueOrDie();
+  auto s = Scenario(Protocol::kClosedNested);
   ScenarioOutcome out = RunFig4(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
@@ -96,7 +75,7 @@ TEST(Fig4, ClosedNestedAlsoSerializes) {
 // --- Figure 5 ---------------------------------------------------------------
 
 TEST(Fig5, SemanticProtocolBlocksTheBypassingReader) {
-  auto s = MakePaperScenario(Semantic()).ValueOrDie();
+  auto s = Scenario(Protocol::kSemanticONT);
   ScenarioOutcome out = RunFig5(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
@@ -112,7 +91,7 @@ TEST(Fig5, SemanticProtocolBlocksTheBypassingReader) {
 }
 
 TEST(Fig5, NaiveProtocolAdmitsNonSerializableExecution) {
-  auto s = MakePaperScenario(Naive()).ValueOrDie();
+  auto s = Scenario(Protocol::kSemanticNoRetainedLocks);
   ScenarioOutcome out = RunFig5(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
@@ -130,10 +109,9 @@ TEST(Fig5, ConventionalProtocolsAreSafeButBlind) {
   // status atom. The paper's point is not that conventional CC is unsafe,
   // but that the naive OPEN protocol is; the price of 2PL is Figure 4's
   // lost concurrency.
-  for (Protocol protocol : {Protocol::kFlat2PL, Protocol::kClosedNested}) {
-    ProtocolOptions o;
-    o.protocol = protocol;
-    auto s = MakePaperScenario(o).ValueOrDie();
+  for (Protocol protocol :
+       {Protocol::kFlat2PLObject, Protocol::kClosedNested}) {
+    auto s = Scenario(protocol);
     ScenarioOutcome out = RunFig5(s.get());
     EXPECT_TRUE(out.t_left_committed) << ProtocolName(protocol);
     EXPECT_TRUE(out.t_right_committed) << ProtocolName(protocol);
@@ -147,7 +125,7 @@ TEST(Fig5, ConventionalProtocolsAreSafeButBlind) {
 // --- Figure 6 (Case 1) --------------------------------------------------------
 
 TEST(Fig6, CommittedCommutingAncestorGrantsImmediately) {
-  auto s = MakePaperScenario(Semantic()).ValueOrDie();
+  auto s = Scenario(Protocol::kSemanticONT);
   ScenarioOutcome out = RunFig6(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
@@ -161,7 +139,7 @@ TEST(Fig6, CommittedCommutingAncestorGrantsImmediately) {
 }
 
 TEST(Fig6, WithoutAncestorWalkT4BlocksUnnecessarily) {
-  auto s = MakePaperScenario(NoAncestorWalk()).ValueOrDie();
+  auto s = Scenario(Protocol::kSemanticNoAncestorWalk);
   ScenarioOutcome out = RunFig6(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
@@ -177,7 +155,7 @@ TEST(Fig6, WithoutAncestorWalkT4BlocksUnnecessarily) {
 // --- Figure 7 (Case 2) --------------------------------------------------------
 
 TEST(Fig7, UncommittedCommutingAncestorWaitsForSubtransactionOnly) {
-  auto s = MakePaperScenario(Semantic()).ValueOrDie();
+  auto s = Scenario(Protocol::kSemanticONT);
   ScenarioOutcome out = RunFig7(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
@@ -192,7 +170,7 @@ TEST(Fig7, UncommittedCommutingAncestorWaitsForSubtransactionOnly) {
 }
 
 TEST(Fig7, WithoutAncestorWalkT5WaitsForTopLevelCommit) {
-  auto s = MakePaperScenario(NoAncestorWalk()).ValueOrDie();
+  auto s = Scenario(Protocol::kSemanticNoAncestorWalk);
   ScenarioOutcome out = RunFig7(s.get());
   EXPECT_TRUE(out.t_left_committed);
   EXPECT_TRUE(out.t_right_committed);
