@@ -38,31 +38,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  // --- key-range ablation: same sweep, keyrange_locks on ------------------
-  //
-  // Identical workload and matrix to the semantic-param rows above; only
-  // ProtocolOptions::keyrange_locks differs, so the row pair is the flag's
-  // ablation record. NewOrder's [hint,+inf) footprint and Ship/Pay's point
-  // footprints stop conflicting whenever their keys are disjoint, which
-  // shows up as fewer blocked acquires and deadlock retries at high thread
-  // counts.
-  std::printf("== Key-range ablation (semantic-param + keyrange_locks) ==\n\n");
-  PrintHeader();
-  {
-    ProtocolConfig keyrange;
-    keyrange.name = "semantic-keyrange";
-    keyrange.refined_matrix = true;
-    keyrange.options.keyrange_locks = true;
-    for (int threads : {1, 2, 4, 8, 16}) {
-      RunSummary s = RunWorkload(keyrange, wopts, threads, txns);
-      PrintRow(s);
-      char label[64];
-      std::snprintf(label, sizeof(label), "orderentry-zipf0.8-keyrange-t%d",
-                    threads);
-      json.Add(s, label);
-    }
-    std::printf("\n");
-  }
 
   // --- read-mix sections: MVCC snapshot reads vs locking readers ----------
   //

@@ -4,7 +4,8 @@
 Usage: check_bench_rows.py [DIR]
 
 REQUIRED_ROWS is the one list of row labels each bench file must carry:
-the ablation records that the docs cite for a ProtocolOptions flag. DIR
+the records that the docs cite for a ProtocolOptions flag or a matrix
+refinement. DIR
 (default: the repository root) holds the files. Exits 1 naming every
 missing label or unreadable file. scripts/run_bench.sh runs it after each
 regeneration.
@@ -16,17 +17,12 @@ import sys
 
 REQUIRED_ROWS = {
     "BENCH_throughput.json": [
-        # keyrange_locks ablation: the semantic-param sweep, flag off and on.
+        # The protocol comparison across thread counts (paper §1.1).
         "orderentry-zipf0.8-t1",
         "orderentry-zipf0.8-t2",
         "orderentry-zipf0.8-t4",
         "orderentry-zipf0.8-t8",
         "orderentry-zipf0.8-t16",
-        "orderentry-zipf0.8-keyrange-t1",
-        "orderentry-zipf0.8-keyrange-t2",
-        "orderentry-zipf0.8-keyrange-t4",
-        "orderentry-zipf0.8-keyrange-t8",
-        "orderentry-zipf0.8-keyrange-t16",
         # mvcc_reads ablation: both read mixes, locking and snapshot readers.
         "readmix90-t4",
         "readmix90-t16",
@@ -38,13 +34,10 @@ REQUIRED_ROWS = {
         "readmix50-mvcc-t16",
     ],
     "BENCH_contention.json": [
-        # keyrange_locks on one hot set object: insert-share sweep, off/on.
+        # Parameter predicates on one hot item: NewOrder-share sweep.
         "hotset-insert10-t8",
         "hotset-insert30-t8",
         "hotset-insert50-t8",
-        "hotset-insert10-keyrange-t8",
-        "hotset-insert30-keyrange-t8",
-        "hotset-insert50-keyrange-t8",
     ],
 }
 

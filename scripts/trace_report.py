@@ -41,12 +41,6 @@ VERDICTS = {
 }
 
 FLAG_BLOCKER_RETAINED = 1
-FLAG_KEYRANGE = 2
-
-# Sentinel bounds the runtime uses for half-open key intervals: kAll hulls to
-# [INT64_MIN, INT64_MAX] and kLowerBound hulls to [k, INT64_MAX].
-KEY_LO_NEG_INF = -(2**63)
-KEY_HI_INF = 2**63 - 1
 
 # Event kinds that represent a lock decision on the acquire path.
 DECISION_KINDS = {"grant", "block"}
@@ -74,7 +68,6 @@ def summarize(events):
         "decisions": 0,
         "verdicts": collections.Counter(),
         "retained_hits": 0,
-        "keyed_decisions": 0,
         "blocks": 0,
         "grants_after_wait": 0,
         "deadlock_victims": 0,
@@ -94,8 +87,6 @@ def summarize(events):
             s["roots"].add(e["root"])
         if kind in DECISION_KINDS:
             s["decisions"] += 1
-            if e.get("flags", 0) & FLAG_KEYRANGE:
-                s["keyed_decisions"] += 1
             verdict = VERDICTS.get(e.get("verdict", 0), "?")
             if kind == "block":
                 s["blocks"] += 1
@@ -137,9 +128,6 @@ def print_summary(s):
             print(f"  {verdict:<14} {n}")
     print(f"retained-lock hits: {s['retained_hits']} "
           "(blocks against a completed holder's retained lock)")
-    if s["keyed_decisions"]:
-        print(f"keyed decisions  : {s['keyed_decisions']} "
-              "(lock targets carrying a key interval)")
     print(f"txns             : {s['txn_begins']} begun, "
           f"{s['txn_commits']} committed, {s['txn_aborts']} aborted, "
           f"{s['txn_retries']} retried")
@@ -169,12 +157,6 @@ def event_line(e):
         parts.append(f"{method}")
     if e.get("target"):
         parts.append(f"target={e['target']}")
-    if e.get("flags", 0) & FLAG_KEYRANGE:
-        lo = e.get("key_lo", 0)
-        hi = e.get("key_hi", 0)
-        lo_s = "-inf" if lo == KEY_LO_NEG_INF else str(lo)
-        hi_s = "+inf" if hi == KEY_HI_INF else str(hi)
-        parts.append(f"keys=[{lo_s},{hi_s}]")
     if kind in DECISION_KINDS or kind == "wakeup":
         verdict = VERDICTS.get(e.get("verdict", 0), "?")
         if verdict != "no-lock":

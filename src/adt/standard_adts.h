@@ -56,12 +56,11 @@ struct QueueType {
 /// Enqueue/Dequeue/Size/Front and the §1.1 compatibility matrix.
 Result<QueueType> InstallQueue(Database* db);
 
-/// Register the exact declarative footprints of the generic set operations
+/// Register the declarative footprints of the generic set operations
 /// (Insert/Remove/Select/Member/RangeScan/Scan/Size) for `set_type`, letting
 /// the CompatibilityRegistry DERIVE that type's matrix cells from the
 /// footprint algebra (verdict-equivalent to the built-in generic rules;
-/// tools/matrix_verify cross-checks) and letting the lock manager annotate
-/// key intervals for the keyrange_locks disjointness precheck.
+/// tools/matrix_verify cross-checks).
 void InstallKeyedSetSpecs(Database* db, TypeId set_type);
 
 Result<Oid> NewQueue(Database* db, const QueueType& t);

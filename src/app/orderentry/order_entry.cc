@@ -21,10 +21,14 @@ namespace {
 
 Result<Value> NewOrderBody(TxnCtx& ctx, Oid self, const Args& args,
                            const OrderEntryTypes& t) {
-  // args[2], when present, is an advisory lower bound on the OrderNo about
-  // to be allocated — consumed only by the lock manager's key-interval
-  // annotation (see InstallItemMatrix), never by the body itself.
-  if (args.size() != 2 && args.size() != 3) {
+  // args[2], when present, is a lower bound on the OrderNo about to be
+  // allocated. The refined Item matrix lets this call commute with
+  // ShipOrder/PayOrder of every order below the hint (InstallItemMatrix),
+  // so the bound must hold: a hint above the allocated number fails here,
+  // before anything is written.
+  const bool hinted = args.size() == 3;
+  if ((args.size() != 2 && !hinted) ||
+      (hinted && args[2].type() != Value::Type::kInt)) {
     return Status::InvalidArgument("NewOrder(cust, qty[, order_no_hint])");
   }
   const int64_t customer = args[0].AsInt();
@@ -32,6 +36,11 @@ Result<Value> NewOrderBody(TxnCtx& ctx, Oid self, const Args& args,
   SEMCC_ASSIGN_OR_RETURN(Oid next, ctx.Component(self, "NextOrderNo"));
   SEMCC_ASSIGN_OR_RETURN(Value cur, ctx.Get(next));
   const int64_t order_no = cur.AsInt() + 1;
+  if (hinted && order_no < args[2].AsInt()) {
+    return Status::InvalidArgument(
+        "NewOrder: order_no_hint " + std::to_string(args[2].AsInt()) +
+        " is above the allocated OrderNo " + std::to_string(order_no));
+  }
   SEMCC_RETURN_NOT_OK(ctx.Put(next, Value(order_no)));
 
   SEMCC_ASSIGN_OR_RETURN(Oid ono_a, ctx.CreateAtomic(t.number, Value(order_no)));
@@ -190,8 +199,6 @@ void InstallItemMatrix(Database* db, TypeId item, const InstallOptions& opts) {
   //  PayOrder      conflict     ok       conflict   conflict
   //  TotalPayment    ok         ok       conflict     ok
   c->Define(item, "NewOrder", "NewOrder", true);
-  c->Define(item, "NewOrder", "ShipOrder", false);
-  c->Define(item, "NewOrder", "PayOrder", false);
   c->Define(item, "NewOrder", "TotalPayment", true);
   if (opts.parameter_refined_item_matrix) {
     auto different_orders = [](const Args& a, const Args& b) {
@@ -199,7 +206,21 @@ void InstallItemMatrix(Database* db, TypeId item, const InstallOptions& opts) {
     };
     c->DefinePredicate(item, "ShipOrder", "ShipOrder", different_orders);
     c->DefinePredicate(item, "PayOrder", "PayOrder", different_orders);
+    // NewOrder(c, q, h) allocates an OrderNo >= h (NewOrderBody enforces
+    // the hint), so it touches no order below h and never reads
+    // QuantityOnHand: it commutes with ShipOrder(k) and PayOrder(k) for
+    // every k < h. Without an integer hint the Figure 2 conflict stands.
+    auto below_hint = [](const Args& new_order, const Args& other) {
+      return new_order.size() == 3 &&
+             new_order[2].type() == Value::Type::kInt && !other.empty() &&
+             other[0].type() == Value::Type::kInt &&
+             other[0].AsInt() < new_order[2].AsInt();
+    };
+    c->DefinePredicate(item, "NewOrder", "ShipOrder", below_hint);
+    c->DefinePredicate(item, "NewOrder", "PayOrder", below_hint);
   } else {
+    c->Define(item, "NewOrder", "ShipOrder", false);
+    c->Define(item, "NewOrder", "PayOrder", false);
     c->Define(item, "ShipOrder", "ShipOrder", false);
     c->Define(item, "PayOrder", "PayOrder", false);
   }
@@ -209,33 +230,6 @@ void InstallItemMatrix(Database* db, TypeId item, const InstallOptions& opts) {
   c->Define(item, "ShipOrder", "TotalPayment", true);
   c->Define(item, "PayOrder", "TotalPayment", false);
   c->Define(item, "TotalPayment", "TotalPayment", true);
-  if (opts.parameter_refined_item_matrix) {
-    // Non-exact key footprints over the item's Orders set, keyed by OrderNo.
-    // exact=false: each method also touches non-keyed state (NextOrderNo,
-    // QuantityOnHand, Price), so the footprints must NOT derive matrix cells
-    // — the hand-written Figure 2 cells above stay authoritative. They exist
-    // purely so that with ProtocolOptions::keyrange_locks each invocation's
-    // lock carries an OrderNo interval, and CONFLICT cells relax when two
-    // intervals are provably disjoint: NewOrder only ever writes order
-    // numbers >= its hint (args[2] is a lower bound — NextOrderNo is
-    // monotone and NewOrderInverse never decrements it), while ShipOrder /
-    // PayOrder address exactly the existing order args[0].
-    MethodSpec new_order;
-    new_order.writes = KeyRef::LowerBound(2);
-    new_order.size_delta = +1;
-    new_order.exact = false;
-    c->DefineMethodSpec(item, "NewOrder", new_order);
-    MethodSpec point_update;
-    point_update.reads = KeyRef::Point(0);
-    point_update.writes = KeyRef::Point(0);
-    point_update.exact = false;
-    c->DefineMethodSpec(item, "ShipOrder", point_update);
-    c->DefineMethodSpec(item, "PayOrder", point_update);
-    MethodSpec scan_all;
-    scan_all.reads = KeyRef::All();
-    scan_all.exact = false;
-    c->DefineMethodSpec(item, "TotalPayment", scan_all);
-  }
 }
 
 void InstallOrderMatrix(Database* db, TypeId order) {
@@ -276,8 +270,7 @@ Result<OrderEntryTypes> Install(Database* db, InstallOptions opts) {
   SEMCC_ASSIGN_OR_RETURN(t.orders_set,
                          s->DefineSetType("Orders", t.order, "OrderNo"));
   // OrderNo-keyed footprints for the generic set operations: derives the
-  // Orders matrix cells from the footprint algebra and keys every set-level
-  // lock (keyrange_locks) by the OrderNo it actually touches.
+  // Orders matrix cells from the footprint algebra.
   adt::InstallKeyedSetSpecs(db, t.orders_set);
   SEMCC_ASSIGN_OR_RETURN(
       t.item, s->DefineTupleType("Item",

@@ -54,8 +54,10 @@ struct OrderEntryTypes {
 
 struct InstallOptions {
   /// Extension (not in the paper's Figure 2): refine ShipOrder/ShipOrder and
-  /// PayOrder/PayOrder to commute when they address *different* OrderNos
-  /// ("taking into account the actual input parameters", §3).
+  /// PayOrder/PayOrder to commute when they address *different* OrderNos,
+  /// and NewOrder(c, q, h) to commute with ShipOrder/PayOrder of any order
+  /// below its hint h ("taking into account the actual input parameters",
+  /// §3).
   bool parameter_refined_item_matrix = false;
   /// Register types, methods, and matrices but create no objects. Used when
   /// the object graph will be rebuilt by log replay (Database::RecoverFrom);
@@ -122,9 +124,10 @@ TxnManager::Body T5_TotalPaymentScan(std::vector<Oid> items, int repeat = 1);
 /// but required to drive the NewOrder method and the set-insert path).
 /// `order_no_hint` >= 0 passes a client-known lower bound on the OrderNo the
 /// call will allocate (NextOrderNo is monotone, so any previously observed
-/// order number + 1 is valid). With ProtocolOptions::keyrange_locks the lock
-/// manager turns the hint into the key interval [hint, +inf), letting the
-/// NewOrder lock pass ShipOrder/PayOrder locks on already-existing orders.
+/// order number + 1 is valid; NewOrder fails with InvalidArgument if the
+/// bound does not hold). Under the parameter-refined Item matrix the
+/// NewOrder then commutes with ShipOrder/PayOrder of every order below the
+/// hint.
 TxnManager::Body TN_EnterOrder(Oid item, int64_t customer_no,
                                int64_t quantity, int64_t order_no_hint = -1);
 

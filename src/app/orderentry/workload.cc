@@ -118,8 +118,8 @@ Status OrderEntryWorkload::RunOne(WorkerState* ws) {
       const int64_t qty = static_cast<int64_t>(ws->rng.Uniform(9)) + 1;
       // Lower bound on the OrderNo this call will allocate: NextOrderNo is
       // monotone, so the highest order number any transaction has observed
-      // committed, plus one, is always safe. Lets keyrange_locks prove the
-      // NewOrder disjoint from Ship/Pay locks on existing orders.
+      // committed, plus one, is always safe. Under the refined Item matrix
+      // the NewOrder then commutes with Ship/Pay of existing orders.
       const int64_t hint =
           max_order_[i1]->load(std::memory_order_relaxed) + 1;
       r = db_->RunTransaction("TN", TN_EnterOrder(item1, customer, qty, hint),

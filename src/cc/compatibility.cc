@@ -27,19 +27,15 @@ Overlap FootOverlap(const KeyRef& f, const KeyRef& g) {
   using Kind = KeyRef::Kind;
   if (f.kind == Kind::kNone || g.kind == Kind::kNone) return Overlap::kNever;
   if (f.kind == Kind::kAll || g.kind == Kind::kAll) return Overlap::kAlways;
-  if (f.kind == Kind::kLowerBound && g.kind == Kind::kLowerBound) {
-    return Overlap::kAlways;  // two rays to +inf always intersect
-  }
   return Overlap::kArgDep;
 }
 
 /// A footprint bound to one invocation's actual arguments. Keys stay at the
 /// Value level — comparisons use Value's total order, so string keys behave
-/// exactly like the generic rules' key tests; only the lock manager's
-/// runtime interval (KeyInterval) demands integers.
+/// exactly like the generic rules' key tests.
 struct ConcreteFoot {
   KeyRef::Kind kind = KeyRef::Kind::kNone;
-  const Value* a = nullptr;  ///< point key / range low / lower bound
+  const Value* a = nullptr;  ///< point key / range low
   const Value* b = nullptr;  ///< range high
   bool unknown = false;      ///< referenced argument missing: assume overlap
 };
@@ -57,7 +53,6 @@ ConcreteFoot Resolve(const KeyRef& f, const Args& args) {
     case KeyRef::Kind::kAll:
       break;
     case KeyRef::Kind::kPoint:
-    case KeyRef::Kind::kLowerBound:
       c.unknown = !bind(f.arg_a, &c.a);
       break;
     case KeyRef::Kind::kRange:
@@ -72,34 +67,11 @@ bool FeetOverlap(const ConcreteFoot& x, const ConcreteFoot& y) {
   if (x.kind == Kind::kNone || y.kind == Kind::kNone) return false;
   if (x.unknown || y.unknown) return true;  // safe default: clash
   if (x.kind == Kind::kAll || y.kind == Kind::kAll) return true;
-  if (x.kind == Kind::kPoint) {
-    switch (y.kind) {
-      case Kind::kPoint:
-        return *x.a == *y.a;
-      case Kind::kRange:
-        return !(*x.a < *y.a) && !(*y.b < *x.a);
-      case Kind::kLowerBound:
-        return !(*x.a < *y.a);
-      default:
-        break;
-    }
-  }
-  if (x.kind == Kind::kRange) {
-    switch (y.kind) {
-      case Kind::kPoint:
-        return FeetOverlap(y, x);
-      case Kind::kRange:
-        return !(*x.b < *y.a) && !(*y.b < *x.a);
-      case Kind::kLowerBound:
-        return !(*x.b < *y.a);
-      default:
-        break;
-    }
-  }
-  if (x.kind == Kind::kLowerBound && y.kind != Kind::kLowerBound) {
-    return FeetOverlap(y, x);
-  }
-  return true;  // lower bound × lower bound
+  if (x.kind == Kind::kPoint && y.kind == Kind::kPoint) return *x.a == *y.a;
+  // A point p against a closed range overlaps as the range [p, p] would.
+  const Value& x_hi = x.kind == Kind::kRange ? *x.b : *x.a;
+  const Value& y_hi = y.kind == Kind::kRange ? *y.b : *y.a;
+  return !(x_hi < *y.a) && !(y_hi < *x.a);
 }
 
 /// One method's result depends on the membership count the other changes —
@@ -183,40 +155,37 @@ void CompatibilityRegistry::DefineMethodSpec(TypeId type,
     list.push_back(method);
   }
   specs_[type][method] = spec;
-  if (spec.exact) {
-    auto& type_entries = table_[type];
-    for (const auto& [other, other_spec] : specs_[type]) {
-      if (!other_spec.exact) continue;  // inexact specs derive nothing
-      bool swapped = false;
-      const PairKey key = MakeKey(method, other, &swapped);
-      // A hand-written (or previously derived — same algebra, same result)
-      // cell wins; derivation only fills pairs nobody specified. The matrix
-      // verifier still re-derives every exact pair, so a hand-written cell
-      // that contradicts the specs is reported, not silently kept.
-      if (type_entries.find(key) != type_entries.end()) continue;
-      Entry e;
-      switch (DeriveCell(spec, other_spec)) {
-        case DerivedCell::kCompatible:
-          e.compatible = true;
-          break;
-        case DerivedCell::kConflict:
-          e.compatible = false;
-          break;
-        case DerivedCell::kPredicate: {
-          e.is_predicate = true;
-          const MethodSpec s1 = spec;
-          const MethodSpec s2 = other_spec;
-          e.pred = [s1, s2](const Args& a1, const Args& a2) {
-            return SpecsCommute(s1, a1, s2, a2);
-          };
-          // The predicate contract hands the first registered method's args
-          // first; registration order here is (method, other) == (s1, s2).
-          e.swapped = swapped;
-          break;
-        }
+  auto& type_entries = table_[type];
+  for (const auto& [other, other_spec] : specs_[type]) {
+    bool swapped = false;
+    const PairKey key = MakeKey(method, other, &swapped);
+    // A hand-written (or previously derived — same algebra, same result)
+    // cell wins; derivation only fills pairs nobody specified. The matrix
+    // verifier still re-derives every spec pair, so a hand-written cell
+    // that contradicts the specs is reported, not silently kept.
+    if (type_entries.find(key) != type_entries.end()) continue;
+    Entry e;
+    switch (DeriveCell(spec, other_spec)) {
+      case DerivedCell::kCompatible:
+        e.compatible = true;
+        break;
+      case DerivedCell::kConflict:
+        e.compatible = false;
+        break;
+      case DerivedCell::kPredicate: {
+        e.is_predicate = true;
+        const MethodSpec s1 = spec;
+        const MethodSpec s2 = other_spec;
+        e.pred = [s1, s2](const Args& a1, const Args& a2) {
+          return SpecsCommute(s1, a1, s2, a2);
+        };
+        // The predicate contract hands the first registered method's args
+        // first; registration order here is (method, other) == (s1, s2).
+        e.swapped = swapped;
+        break;
       }
-      type_entries[key] = std::move(e);
     }
+    type_entries[key] = std::move(e);
   }
   Recompile();
 }
@@ -266,71 +235,14 @@ std::optional<MethodSpec> CompatibilityRegistry::GenericMethodSpec(
   }
 }
 
-bool CompatibilityRegistry::KeyInterval(TypeId type, MethodId m,
-                                        const Args& args, int64_t* lo,
-                                        int64_t* hi) const {
-  std::optional<MethodSpec> spec = MethodSpecOf(type, m);
-  // Size dependence is not key-local: a size-observing method must never
-  // carry an interval, or the disjointness precheck could skip an entry the
-  // size coupling makes it conflict with.
-  if (!spec.has_value() || spec->observes_size) return false;
-  bool have = false;
-  int64_t l = 0;
-  int64_t h = 0;
-  auto widen = [&](int64_t flo, int64_t fhi) {
-    if (!have) {
-      l = flo;
-      h = fhi;
-      have = true;
-    } else {
-      l = std::min(l, flo);
-      h = std::max(h, fhi);
-    }
-  };
-  auto int_arg = [&args](uint8_t i, int64_t* out) {
-    if (i >= args.size() || args[i].type() != Value::Type::kInt) return false;
-    *out = args[i].AsInt();
-    return true;
-  };
-  auto fold = [&](const KeyRef& f) {
-    int64_t a = 0;
-    int64_t b = 0;
-    switch (f.kind) {
-      case KeyRef::Kind::kNone:
-        return true;
-      case KeyRef::Kind::kAll:
-        widen(INT64_MIN, INT64_MAX);
-        return true;
-      case KeyRef::Kind::kPoint:
-        if (!int_arg(f.arg_a, &a)) return false;
-        widen(a, a);
-        return true;
-      case KeyRef::Kind::kRange:
-        if (!int_arg(f.arg_a, &a) || !int_arg(f.arg_b, &b)) return false;
-        widen(a, b);
-        return true;
-      case KeyRef::Kind::kLowerBound:
-        if (!int_arg(f.arg_a, &a)) return false;
-        widen(a, INT64_MAX);
-        return true;
-    }
-    return false;
-  };
-  if (!fold(spec->reads) || !fold(spec->writes) || !have) return false;
-  *lo = l;
-  *hi = h;
-  return true;
-}
-
 std::vector<std::string> CompatibilityRegistry::SpecMethodsOf(
-    TypeId type, bool exact_only) const {
+    TypeId type) const {
   ReaderMutexLock guard(mu_);
   std::vector<std::string> out;
   auto it = specs_.find(type);
   if (it == specs_.end()) return out;
-  for (const auto& [name, spec] : it->second) {
-    if (exact_only && !spec.exact) continue;
-    out.push_back(name);  // std::map iteration: already name-ordered
+  for (const auto& entry : it->second) {
+    out.push_back(entry.first);  // std::map iteration: already name-ordered
   }
   return out;
 }
@@ -381,7 +293,7 @@ void CompatibilityRegistry::Recompile() {
   }
   // Attach compiled specs. A type with specs but no entries still gets a
   // table — with dim 0, so every cell reads kUnknown — purely to carry the
-  // specs for MethodSpecOf / KeyInterval.
+  // specs for MethodSpecOf.
   for (const auto& [type, spec_map] : specs_) {
     Compiled::TypeTable& table = tables[type];
     for (const auto& [name, spec] : spec_map) {

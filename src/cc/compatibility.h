@@ -54,16 +54,13 @@ inline constexpr const char* kRangeScan = "RangeScan";  // args: [lo, hi]
 ///
 /// One footprint describes the set of member keys a method may read or
 /// write inside its object, as a function of the actual arguments: nothing,
-/// one point key, a closed range, every key, or a half-open lower-bounded
-/// range (an "allocates at or above this hint" postcondition, e.g.
-/// NewOrder's fresh OrderNo).
+/// one point key, a closed range, or every key.
 struct KeyRef {
   enum class Kind : uint8_t {
-    kNone = 0,        ///< no keyed access
-    kPoint = 1,       ///< exactly the key in args[arg_a]
-    kRange = 2,       ///< the closed range [args[arg_a], args[arg_b]]
-    kAll = 3,         ///< every key (whole-set scan)
-    kLowerBound = 4,  ///< [args[arg_a], +inf)
+    kNone = 0,   ///< no keyed access
+    kPoint = 1,  ///< exactly the key in args[arg_a]
+    kRange = 2,  ///< the closed range [args[arg_a], args[arg_b]]
+    kAll = 3,    ///< every key (whole-set scan)
   };
   Kind kind = Kind::kNone;
   uint8_t arg_a = 0;  ///< argument index of the point / range-low key
@@ -75,24 +72,18 @@ struct KeyRef {
     return {Kind::kRange, lo_arg, hi_arg};
   }
   static KeyRef All() { return {Kind::kAll, 0, 0}; }
-  static KeyRef LowerBound(uint8_t arg) {
-    return {Kind::kLowerBound, arg, 0};
-  }
 };
 
 /// \brief Declarative pre/postcondition footprint of one method over the
 /// keyed members of a set-like object: which keys it reads, which it
 /// writes, and how it interacts with the membership count.
 ///
-/// Two uses (DESIGN.md §5.8):
-///  * derivation — for a pair of `exact` specs, the commutativity verdict
-///    (static cell or key-overlap predicate) is *computed* from the two
-///    footprints instead of hand-written (CompatibilityRegistry::
-///    DefineMethodSpec), and tools/matrix_verify re-derives every such cell
-///    to prove the published tables agree with the algebra;
-///  * runtime key intervals — the lock manager asks KeyInterval() for the
-///    concrete [lo, hi] an invocation touches and skips provably disjoint
-///    queue entries before consulting the matrix (keyrange_locks).
+/// A spec is complete: everything the method depends on or changes inside
+/// the object is captured. For a pair of specs the commutativity verdict
+/// (static cell or key-overlap predicate) is therefore *computed* from the
+/// two footprints instead of hand-written (CompatibilityRegistry::
+/// DefineMethodSpec), and tools/matrix_verify re-derives every such cell to
+/// prove the published tables agree with the algebra (DESIGN.md §5.8).
 struct MethodSpec {
   KeyRef reads;
   KeyRef writes;
@@ -101,13 +92,6 @@ struct MethodSpec {
   bool observes_size = false;
   /// Net membership-count change (+1 insert, -1 remove, 0 otherwise).
   int size_delta = 0;
-  /// True: the footprint is COMPLETE — everything the method depends on or
-  /// changes inside the object is captured, so matrix cells may be derived
-  /// from it. False: an upper-bound footprint used only for the runtime
-  /// key-interval annotation (the hand-written matrix stays authoritative);
-  /// e.g. Item::NewOrder, whose NextOrderNo/QuantityOnHand couplings live
-  /// outside the OrderNo key space.
-  bool exact = true;
 };
 
 /// \brief Per-type compatibility specification.
@@ -136,12 +120,11 @@ class CompatibilityRegistry {
   void DeclareMethod(TypeId type, const std::string& method);
 
   /// Register the declarative footprint of (type, method) and — for every
-  /// pair of *exact* specs of this type that has no hand-written entry yet —
-  /// derive and install the matrix cell from the two footprints: a static
+  /// pair of specs of this type that has no hand-written entry yet — derive
+  /// and install the matrix cell from the two footprints: a static
   /// commute/conflict cell when the verdict is argument-independent, a
   /// key-overlap predicate (SpecsCommute over the actual arguments)
-  /// otherwise. Also declares the method. Non-exact specs derive no cells;
-  /// they only feed the runtime key-interval annotation (KeyInterval).
+  /// otherwise. Also declares the method.
   void DefineMethodSpec(TypeId type, const std::string& method,
                         const MethodSpec& spec);
 
@@ -153,15 +136,6 @@ class CompatibilityRegistry {
   /// Select, Member, RangeScan, Scan, Size). nullopt for Get/Put (atomic
   /// objects have no key space) and for non-generic ids.
   static std::optional<MethodSpec> GenericMethodSpec(MethodId m);
-
-  /// Closed key interval the invocation (type, m, args) may touch: the hull
-  /// of its spec's read+write footprints under `args`. False — no interval,
-  /// caller must assume the whole object — when there is no spec, the
-  /// method observes the membership count (size dependence is not
-  /// key-local), the footprint is empty, or a footprint argument is
-  /// missing / not an integer.
-  bool KeyInterval(TypeId type, MethodId m, const Args& args, int64_t* lo,
-                   int64_t* hi) const;
 
   // --- derivation algebra (static; also used by cc/matrix_verifier to
   // re-derive and cross-check every published cell) ------------------------
@@ -182,10 +156,8 @@ class CompatibilityRegistry {
   static bool SpecsCommute(const MethodSpec& s1, const Args& a1,
                            const MethodSpec& s2, const Args& a2);
 
-  /// Methods of `type` with a registered spec, in name order; `exact_only`
-  /// filters to the derivation-eligible ones.
-  std::vector<std::string> SpecMethodsOf(TypeId type,
-                                         bool exact_only = false) const;
+  /// Methods of `type` with a registered spec, in name order.
+  std::vector<std::string> SpecMethodsOf(TypeId type) const;
 
   /// Do invocations (m1, a1) and (m2, a2) on the same object of `type`
   /// commute? Hot path: dense compiled tables over interned ids; static
@@ -296,8 +268,8 @@ class CompatibilityRegistry {
       /// Directional predicate refs keyed by (m1, m2) ids; consulted only
       /// when the cell says kPredicate.
       std::map<std::pair<MethodId, MethodId>, PredRef> preds;
-      /// Registered method specs by id (KeyInterval / MethodSpecOf); the
-      /// generic-op fallback is layered on in MethodSpecOf, not stored.
+      /// Registered method specs by id (MethodSpecOf); the generic-op
+      /// fallback is layered on in MethodSpecOf, not stored.
       std::map<MethodId, MethodSpec> specs;
 
       Cell CellAt(MethodId m1, MethodId m2) const {

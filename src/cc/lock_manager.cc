@@ -43,16 +43,9 @@ std::string LockTarget::ToString() const {
   const char* space_name = space == Space::kObject   ? "obj"
                            : space == Space::kRecord ? "rec"
                                                      : "page";
-  char buf[96];
-  if (has_interval) {
-    std::snprintf(buf, sizeof(buf), "%s:%llu[%lld,%lld]", space_name,
-                  static_cast<unsigned long long>(key),
-                  static_cast<long long>(key_lo),
-                  static_cast<long long>(key_hi));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%s:%llu", space_name,
-                  static_cast<unsigned long long>(key));
-  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%s:%llu", space_name,
+                static_cast<unsigned long long>(key));
   return buf;
 }
 
@@ -61,8 +54,7 @@ std::string LockStats::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "acquires=%llu blocked=%llu commute=%llu case1=%llu case2=%llu "
-      "root_waits=%llu retained=%llu deadlocks=%llu timeouts=%llu "
-      "keyrange=%llu",
+      "root_waits=%llu retained=%llu deadlocks=%llu timeouts=%llu",
       static_cast<unsigned long long>(acquires),
       static_cast<unsigned long long>(blocked_acquires),
       static_cast<unsigned long long>(commute_grants),
@@ -71,8 +63,7 @@ std::string LockStats::ToString() const {
       static_cast<unsigned long long>(root_waits),
       static_cast<unsigned long long>(retained_hits),
       static_cast<unsigned long long>(deadlocks),
-      static_cast<unsigned long long>(timeouts),
-      static_cast<unsigned long long>(keyrange_skips));
+      static_cast<unsigned long long>(timeouts));
   return buf;
 }
 
@@ -87,7 +78,6 @@ std::string LockStats::ToJson() const {
   w.Field("retained_hits", retained_hits);
   w.Field("deadlocks", deadlocks);
   w.Field("timeouts", timeouts);
-  w.Field("keyrange_skips", keyrange_skips);
   w.Field("granted_entries", granted_entries);
   w.Field("released_entries", released_entries);
   w.Field("wakeups", wakeups);
@@ -135,7 +125,6 @@ LockStats LockManager::stats() const {
   s.retained_hits = counters_.Sum(kCtrRetainedHits);
   s.deadlocks = counters_.Sum(kCtrDeadlocks);
   s.timeouts = counters_.Sum(kCtrTimeouts);
-  s.keyrange_skips = counters_.Sum(kCtrKeyrangeSkips);
   s.granted_entries = counters_.Sum(kCtrGrantedEntries);
   s.released_entries = counters_.Sum(kCtrReleasedEntries);
   s.wakeups = counters_.Sum(kCtrWakeups);
@@ -154,7 +143,6 @@ LockStats LockManager::shard_stats(uint32_t shard) const {
   s.retained_hits = counters_.StripeValue(shard, kCtrRetainedHits);
   s.deadlocks = counters_.StripeValue(shard, kCtrDeadlocks);
   s.timeouts = counters_.StripeValue(shard, kCtrTimeouts);
-  s.keyrange_skips = counters_.StripeValue(shard, kCtrKeyrangeSkips);
   s.granted_entries = counters_.StripeValue(shard, kCtrGrantedEntries);
   s.released_entries = counters_.StripeValue(shard, kCtrReleasedEntries);
   s.wakeups = counters_.StripeValue(shard, kCtrWakeups);
@@ -177,11 +165,6 @@ void LockManager::EmitLockEvent(trace::EventKind kind, SubTxn* t,
   e.other = blocker != nullptr ? blocker->id() : 0;
   e.value = value;
   e.flags = flags;
-  if (target.has_interval) {
-    e.key_lo = target.key_lo;
-    e.key_hi = target.key_hi;
-    e.flags |= trace::kFlagKeyRange;
-  }
   e.set_method(t->method());
   trace::Emit(e);
 }
@@ -315,9 +298,9 @@ SubTxn* LockManager::TestConflict(const LockEntry& h, SubTxn* r,
 }
 
 void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
-                                  const LockTarget& target, uint64_t my_seq,
-                                  SubTxn* t, bool is_write, uint32_t stripe,
-                                  bool count_stats, ScanResult* out) {
+                                  uint64_t my_seq, SubTxn* t, bool is_write,
+                                  uint32_t stripe, bool count_stats,
+                                  ScanResult* out) {
   (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
   out->Clear();
   for (const LockEntry& e : q.entries) {
@@ -328,24 +311,6 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
     // behind foreign waiters (which wait for THIS transaction's completion)
     // would deadlock the rollback itself.
     if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
-    // Key-range precheck (keyrange_locks): provably disjoint key intervals
-    // commute by key disjointness — whatever the coarse per-object matrix
-    // would say — so the pair is nil without a conflict test. This is the
-    // semantic escalation of DESIGN.md §5.8; sound because an interval is
-    // only annotated from an (exact or upper-bound) method footprint, never
-    // for size-observing methods. Same-tree entries fall through to the
-    // ordinary kSameTxn verdict so the commute counters keep meaning
-    // "foreign pair commuted" with the flag on or off.
-    if (KeyIntervalsDisjoint(e, target) && !e.acquirer->SameRootAs(t)) {
-      if (count_stats) {
-        counters_.Inc(stripe, kCtrKeyrangeSkips);
-        counters_.Inc(stripe, kCtrCommuteGrants);
-        if (out->grant_relief != ConflictOutcome::kCase1Grant) {
-          out->grant_relief = ConflictOutcome::kCommute;
-        }
-      }
-      continue;
-    }
     ConflictOutcome why = ConflictOutcome::kNoLock;
     SubTxn* b = TestConflict(e, t, is_write, &why);
     // Do NOT drop blockers that completed between the conflict test and
@@ -469,10 +434,8 @@ void LockManager::InvariantViolation(const char* kind,
 }
 
 void LockManager::CheckGrantInvariants(const LockShard& shard,
-                                       const LockQueue& q,
-                                       const LockTarget& target,
-                                       uint64_t my_seq, SubTxn* t,
-                                       bool is_write) {
+                                       const LockQueue& q, uint64_t my_seq,
+                                       SubTxn* t, bool is_write) {
   (void)shard;
   // Independently re-derive the grant decision: every other granted (or
   // earlier-queued, FCFS) entry must pass test-conflict against `t`. A
@@ -480,9 +443,6 @@ void LockManager::CheckGrantInvariants(const LockShard& shard,
   for (const LockEntry& e : q.entries) {
     if (e.acquirer == t) continue;
     if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
-    // Mirror the scan's key-range precheck: a disjoint-interval pair is nil
-    // by key disjointness even where the matrix conflicts.
-    if (KeyIntervalsDisjoint(e, target)) continue;
     ConflictOutcome why = ConflictOutcome::kNoLock;
     SubTxn* b = TestConflict(e, t, is_write, &why);
     if (b != nullptr) {
@@ -644,12 +604,10 @@ inline bool MaskHasShard(uint64_t mask, size_t idx) {
 }  // namespace
 
 std::list<LockEntry>::iterator LockManager::AppendEntry(
-    LockShard& shard, LockQueue& q, const LockTarget& target, SubTxn* t,
-    bool is_write, bool granted, uint64_t seq) {
+    LockShard& shard, LockQueue& q, SubTxn* t, bool is_write, bool granted,
+    uint64_t seq) {
   (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
-  q.entries.push_back(LockEntry{t, t, t->method_id(), is_write, granted, seq,
-                                target.key_lo, target.key_hi,
-                                target.has_interval});
+  q.entries.push_back(LockEntry{t, t, t->method_id(), is_write, granted, seq});
   return std::prev(q.entries.end());
 }
 
@@ -668,27 +626,8 @@ void LockManager::EraseWaitRecord(SubTxn* t) {
   waits_.erase(t);
 }
 
-void LockManager::AnnotateKeyInterval(SubTxn* t, LockTarget* target) const {
-  if (!options_.keyrange_locks || !IsSemantic(options_.protocol) ||
-      target->space != LockTarget::Space::kObject) {
-    return;
-  }
-  int64_t lo = 0;
-  int64_t hi = 0;
-  if (compat_->KeyInterval(t->type(), t->method_id(), t->args(), &lo, &hi)) {
-    target->key_lo = lo;
-    target->key_hi = hi;
-    target->has_interval = true;
-  }
-}
-
-Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
+Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
                             bool is_write) {
-  // Local annotated copy: the interval is derived per (method, args), not
-  // part of the target's identity, so queue lookup and hashing below see
-  // the same (space, key) the caller named.
-  LockTarget target = requested;
-  AnnotateKeyInterval(t, &target);
   const bool tracing = trace::Active();
   const uint32_t shard_idx = ShardIndexOf(target);
   counters_.Inc(shard_idx, kCtrAcquires);
@@ -708,10 +647,10 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   // t. That is the FCFS verdict of paper footnote 5.
   ScanResult scan;
   const uint64_t my_seq = shard.next_entry_seq++;
-  CollectBlockers(shard, q, target, my_seq, t, is_write, shard_idx,
+  CollectBlockers(shard, q, my_seq, t, is_write, shard_idx,
                   /*count_stats=*/true, &scan);
   if (scan.blockers.empty()) {
-    AppendEntry(shard, q, target, t, is_write, /*granted=*/true, my_seq);
+    AppendEntry(shard, q, t, is_write, /*granted=*/true, my_seq);
     counters_.Inc(shard_idx, kCtrGrantedEntries);
     t->set_grant_seq(NextSeq());
     if (tracing) {
@@ -720,7 +659,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
     }
     if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
       inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
-      CheckGrantInvariants(shard, q, target, my_seq, t, is_write);
+      CheckGrantInvariants(shard, q, my_seq, t, is_write);
       CheckQueueInvariants(shard, q);
       MutexLock g(graph_mu_);
       RecordLockOrder(t, target);
@@ -729,8 +668,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
   }
 
   // Blocked: enter the queue and wait.
-  auto my_it =
-      AppendEntry(shard, q, target, t, is_write, /*granted=*/false, my_seq);
+  auto my_it = AppendEntry(shard, q, t, is_write, /*granted=*/false, my_seq);
   if (tracing) {
     EmitLockEvent(trace::EventKind::kBlock, t, target, shard_idx,
                   scan.block_why, scan.first_blocker, 0,
@@ -751,7 +689,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
       return Status::Aborted("transaction abort requested while locking " +
                              target.ToString());
     }
-    CollectBlockers(shard, q, target, my_seq, t, is_write, shard_idx,
+    CollectBlockers(shard, q, my_seq, t, is_write, shard_idx,
                     /*count_stats=*/false, &scan);
     if (scan.blockers.empty()) {
       my_it->granted = true;
@@ -759,7 +697,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& requested,
       t->set_grant_seq(NextSeq());
       if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
         inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
-        CheckGrantInvariants(shard, q, target, my_seq, t, is_write);
+        CheckGrantInvariants(shard, q, my_seq, t, is_write);
         CheckQueueInvariants(shard, q);
         MutexLock g(graph_mu_);
         RecordLockOrder(t, target);

@@ -134,40 +134,13 @@ struct ProtocolOptions {
   /// written object). Default off for ablation: with the flag off,
   /// RunReadTransaction degrades to the ordinary locking path.
   bool mvcc_reads = false;
-
-  /// Key-range semantic locks on set ADTs (DESIGN.md §5.8). Under the
-  /// semantic values, Acquire annotates each request with the closed key
-  /// interval its method touches inside the object (derived from the
-  /// CompatibilityRegistry's declarative method specs and the actual
-  /// arguments), and the conflict scan skips any queue entry whose interval
-  /// is provably disjoint from the requester's — *before* consulting the
-  /// compatibility matrix. Disjoint-key operations on one hot set object
-  /// therefore never conflict, even where the coarse per-object matrix says
-  /// they do. Verdict-preserving when off (entries then carry no intervals
-  /// and the scan degenerates to the matrix path). Default off for
-  /// ablation.
-  bool keyrange_locks = false;
 };
 
-/// \brief What a lock names: an object, a record, or a page — optionally
-/// narrowed to a key interval within that object (keyrange_locks).
-///
-/// The interval is an *annotation*, not part of the lock's identity: two
-/// targets naming the same object always share one queue, so FCFS order
-/// stays per object. The interval only feeds the conflict scan's
-/// disjointness precheck — entries whose closed intervals [key_lo, key_hi]
-/// cannot overlap the requester's are skipped before the compatibility
-/// matrix is even consulted (DESIGN.md §5.8). operator== and LockTargetHash
-/// therefore deliberately ignore it.
+/// \brief What a lock names: an object, a record, or a page.
 struct LockTarget {
   enum class Space : uint8_t { kObject = 0, kRecord = 1, kPage = 2 };
   Space space = Space::kObject;
   uint64_t key = 0;
-  /// Closed key interval touched within the object; only meaningful when
-  /// has_interval is set (by LockManager::Acquire under keyrange_locks).
-  int64_t key_lo = 0;
-  int64_t key_hi = 0;
-  bool has_interval = false;
 
   static LockTarget ForObject(Oid oid) { return {Space::kObject, oid}; }
   static LockTarget ForRecord(const Rid& rid) {
@@ -178,8 +151,6 @@ struct LockTarget {
     return {Space::kPage, static_cast<uint64_t>(page)};
   }
 
-  /// Identity: (space, key) only — the interval annotation is invisible to
-  /// queue lookup and hashing (see class comment).
   bool operator==(const LockTarget& other) const {
     return space == other.space && key == other.key;
   }
@@ -211,15 +182,6 @@ struct LockEntry {
   bool is_write;
   bool granted;
   uint64_t seq;  ///< FCFS arrival order (per shard; never reused)
-  /// Closed key interval this entry's method touches within the object
-  /// (ProtocolOptions::keyrange_locks; copied from the annotated target at
-  /// append time). Disjoint intervals make the conflict scan skip the pair
-  /// without consulting the matrix. has_interval=false (the default, and
-  /// always with the flag off) means "touches an unknown part of the
-  /// object" and disables the skip for this entry.
-  int64_t key_lo;
-  int64_t key_hi;
-  bool has_interval;
 };
 
 /// \brief Per-target queue of lock entries.
@@ -267,10 +229,6 @@ struct LockStats {
   uint64_t fast_path_hits = 0;
   uint64_t coalesced_grants = 0;
   uint64_t memo_hits = 0;
-  /// Queue entries skipped by the key-interval disjointness precheck
-  /// (ProtocolOptions::keyrange_locks) — pairs that never reached the
-  /// compatibility matrix because their key intervals cannot overlap.
-  uint64_t keyrange_skips = 0;
   /// Queue entries that became granted / granted entries removed. At a
   /// quiescent point with every transaction finished these are equal;
   /// mid-run their difference is the number of granted (active + retained)
@@ -452,12 +410,10 @@ class LockManager {
   /// into *out (cleared first). `stripe` is the shard index, for counter
   /// attribution. With count_stats, classify each verdict into the counter
   /// bank (first scan of an Acquire only).
-  /// `target` carries the requester's key-interval annotation (if any) for
-  /// the keyrange_locks disjointness precheck.
   void CollectBlockers(const LockShard& shard, const LockQueue& q,
-                       const LockTarget& target, uint64_t my_seq, SubTxn* t,
-                       bool is_write, uint32_t stripe, bool count_stats,
-                       ScanResult* out) SEMCC_REQUIRES(shard.mu);
+                       uint64_t my_seq, SubTxn* t, bool is_write,
+                       uint32_t stripe, bool count_stats, ScanResult* out)
+      SEMCC_REQUIRES(shard.mu);
 
   /// Withdraw `t`'s queue entry and wake this shard (abandon paths of
   /// Acquire: abort, deadlock victim, timeout). The caller separately
@@ -466,25 +422,8 @@ class LockManager {
                     std::list<LockEntry>::iterator my_it)
       SEMCC_REQUIRES(shard.mu);
 
-  /// Stamp `target` with the key interval t's (method, args) touches inside
-  /// the object, per the registry's method specs (keyrange_locks under
-  /// kSemanticONT only; no-op — leaving has_interval false — otherwise or
-  /// when no spec/invalid args make the footprint underivable).
-  void AnnotateKeyInterval(SubTxn* t, LockTarget* target) const;
-
-  /// The keyrange_locks precheck: true iff both sides carry intervals and
-  /// they are provably disjoint (closed-interval test) — the pair then
-  /// commutes by key-disjointness without consulting the matrix.
-  static bool KeyIntervalsDisjoint(const LockEntry& e,
-                                   const LockTarget& target) {
-    return e.has_interval && target.has_interval &&
-           (e.key_hi < target.key_lo || target.key_hi < e.key_lo);
-  }
-
-  /// Append an entry for `t`, copying `target`'s key-interval annotation
-  /// into it.
+  /// Append an entry for `t`.
   std::list<LockEntry>::iterator AppendEntry(LockShard& shard, LockQueue& q,
-                                             const LockTarget& target,
                                              SubTxn* t, bool is_write,
                                              bool granted, uint64_t seq)
       SEMCC_REQUIRES(shard.mu);
@@ -510,8 +449,7 @@ class LockManager {
   /// to be granted: every other granted/earlier entry must pass
   /// test-conflict.
   void CheckGrantInvariants(const LockShard& shard, const LockQueue& q,
-                            const LockTarget& target, uint64_t my_seq,
-                            SubTxn* t, bool is_write)
+                            uint64_t my_seq, SubTxn* t, bool is_write)
       SEMCC_REQUIRES(shard.mu);
 
   /// Queue-local invariants: no waiting entry may belong to a completed
@@ -576,7 +514,6 @@ class LockManager {
     kCtrRetainedHits,
     kCtrDeadlocks,
     kCtrTimeouts,
-    kCtrKeyrangeSkips,
     kCtrGrantedEntries,
     kCtrReleasedEntries,
     kCtrWakeups,

@@ -59,8 +59,6 @@ std::string KeyRefStr(const KeyRef& k) {
              std::to_string(k.arg_b) + ")";
     case KeyRef::Kind::kAll:
       return "all";
-    case KeyRef::Kind::kLowerBound:
-      return "lowerbound(arg" + std::to_string(k.arg_a) + ")";
   }
   return "?";
 }
@@ -89,15 +87,19 @@ std::string MatrixVerifyReport::ToString() const {
 MatrixVerifier::MatrixVerifier(const CompatibilityRegistry* compat)
     : compat_(compat) {
   // Built-in argument samples: nullary, two distinct int keys (OrderNo /
-  // set keys), two distinct string events (Fig. 3), and a two-arg shape
-  // (NewOrder(CustomerNo, Quantity)). Every registered predicate must be
-  // total over these (the Fig. 3 predicates guard empty args themselves).
+  // set keys), two distinct string events (Fig. 3), a two-arg shape
+  // (NewOrder(CustomerNo, Quantity)) and a three-arg one
+  // (NewOrder(CustomerNo, Quantity, hint), whose hint 2 lies above order 1
+  // and equals order 2). Every registered predicate must be total over
+  // these (the Fig. 3 predicates guard empty args themselves).
   samples_.push_back(Args{});
   samples_.push_back(Args{Value(int64_t{1})});
   samples_.push_back(Args{Value(int64_t{2})});
   samples_.push_back(Args{Value("shipped")});
   samples_.push_back(Args{Value("paid")});
   samples_.push_back(Args{Value(int64_t{1}), Value(int64_t{2})});
+  samples_.push_back(
+      Args{Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{2})});
 }
 
 std::vector<std::string> MatrixVerifier::MethodUniverse(TypeId type) const {
@@ -221,14 +223,14 @@ void MatrixVerifier::VerifyStructural(TypeId type,
     }
   }
 
-  // --- spec-derivation: exact footprints <-> published cells (§5.8) -------
-  // For every pair of exact specs the published cell must equal what the
+  // --- spec-derivation: footprints <-> published cells (§5.8) -------------
+  // For every pair of specs the published cell must equal what the
   // derivation algebra computes from the two footprints — whether the cell
   // was derived by DefineMethodSpec or hand-written. A disagreement means
   // the matrix and the algebra tell the lock manager two different stories
   // about the same pair (e.g. a spec edited after its cells were compiled).
   const std::vector<std::string> spec_methods =
-      compat_->SpecMethodsOf(type, /*exact_only=*/true);
+      compat_->SpecMethodsOf(type);
   for (size_t i = 0; i < spec_methods.size(); ++i) {
     for (size_t j = i; j < spec_methods.size(); ++j) {
       const MethodId a = interner.Lookup(spec_methods[i]);
@@ -244,7 +246,7 @@ void MatrixVerifier::VerifyStructural(TypeId type,
       if (got != want) {
         report->diagnostics.push_back(
             {"spec-derivation", type,
-             "exact footprints of (" + spec_methods[i] + ", " +
+             "footprints of (" + spec_methods[i] + ", " +
                  spec_methods[j] + ") derive " + CellKindName(want) +
                  " but the published cell is " + CellKindName(got) +
                  " — the table diverged from the footprint algebra "
@@ -292,11 +294,11 @@ void MatrixVerifier::VerifyBehavioral(TypeId type,
 
   // --- spec-derivation / spec-vs-generic (behavioral) ----------------------
   // Each derived *predicate* cell must track the footprint algebra's
-  // runtime evaluator over the samples; and where the exact specs are
-  // exactly the built-in generic-op footprints, the derived verdicts must
+  // runtime evaluator over the samples; and where the specs are exactly
+  // the built-in generic-op footprints, the derived verdicts must
   // reproduce the hand-coded §2.2 generic key rules they replace.
   const std::vector<std::string> spec_methods =
-      compat_->SpecMethodsOf(type, /*exact_only=*/true);
+      compat_->SpecMethodsOf(type);
   for (size_t i = 0; i < spec_methods.size(); ++i) {
     for (size_t j = i; j < spec_methods.size(); ++j) {
       const std::string& m1 = spec_methods[i];
@@ -400,8 +402,7 @@ std::string MatrixVerifier::DumpTable(
         os << "  spec " << m << " reads=" << KeyRefStr(spec->reads)
            << " writes=" << KeyRefStr(spec->writes)
            << " observes_size=" << (spec->observes_size ? "yes" : "no")
-           << " size_delta=" << spec->size_delta
-           << " exact=" << (spec->exact ? "yes" : "no") << "\n";
+           << " size_delta=" << spec->size_delta << "\n";
       }
     }
     for (size_t i = 0; i < universe.size(); ++i) {

@@ -64,12 +64,12 @@ struct MatrixVerifyReport {
 ///  - "matrix-totality": every pair over a type's declared/registered
 ///    methods has a registered verdict (the retained-lock closure property:
 ///    parent-level cells may not silently degrade to the conflict default).
-///  - "spec-derivation": for every pair of *exact* method specs
+///  - "spec-derivation": for every pair of method specs
 ///    (DefineMethodSpec), the published cell must equal what the footprint
 ///    algebra (DeriveCell) computes from the two specs — regardless of
 ///    whether the cell was derived or hand-written — and each such
 ///    predicate cell must agree with SpecsCommute on every sample pair.
-///  - "spec-vs-generic": where the exact specs are exactly the built-in
+///  - "spec-vs-generic": where the specs are exactly the built-in
 ///    generic-op footprints, the derived verdicts must reproduce the
 ///    hand-coded generic key rules (GenericCommute) on every sample pair.
 class MatrixVerifier {

@@ -76,7 +76,9 @@ std::string PathExpr::ToString() const {
         out += s.component;
         break;
       case PathStep::Kind::kSelect:
-        out += "[" + s.key.ToString() + "]";
+        out += "[";
+        out += s.key.ToString();
+        out += "]";
         break;
       case PathStep::Kind::kScan:
         out += "[*]";

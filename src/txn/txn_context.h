@@ -94,8 +94,8 @@ class TxnCtx {
   /// and maps NotFound to false instead of an error.
   Result<bool> SetMember(Oid set, const Value& key);
   /// Members with key in the closed range [lo, hi] (Value total order),
-  /// locked under the generic RangeScan mode — with keyrange_locks on, the
-  /// lock carries exactly [lo, hi] instead of the whole key space.
+  /// locked under the generic RangeScan mode, which conflicts only with
+  /// updates of keys inside [lo, hi].
   Result<std::vector<std::pair<Value, Oid>>> SetRangeScan(Oid set,
                                                           const Value& lo,
                                                           const Value& hi);

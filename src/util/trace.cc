@@ -153,15 +153,6 @@ std::string Event::ToJson() const {
   w.Field("other", other);
   w.Field("value", value);
   w.Field("flags", static_cast<uint64_t>(flags));
-  if ((flags & kFlagKeyRange) != 0) {
-    // Signed values (interval hulls can reach INT64_MIN/MAX), so they can't
-    // go through the unsigned Field overload.
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(key_lo));
-    w.FieldRaw("key_lo", buf);
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(key_hi));
-    w.FieldRaw("key_hi", buf);
-  }
   return w.Close();
 }
 

@@ -64,9 +64,6 @@ const char* EventKindName(EventKind k);
 /// Event flag bits.
 inline constexpr uint8_t kFlagBlockerRetained = 1;  ///< blocking entry was a
                                                     ///< retained lock
-inline constexpr uint8_t kFlagKeyRange = 2;  ///< key_lo/key_hi carry the
-                                             ///< request's key interval
-                                             ///< (keyrange_locks)
 
 /// \brief One trace event. Plain data; `method` is a truncated copy so the
 /// event stays valid after the SubTxn it describes is destroyed.
@@ -78,10 +75,6 @@ struct Event {
   uint64_t other = 0;   ///< blocker subtxn id / batch records / ...
   uint64_t value = 0;   ///< wait micros / flush micros / retry attempt / ...
   uint64_t target = 0;  ///< lock-target key
-  /// Key-interval annotation of the lock target (valid iff flags has
-  /// kFlagKeyRange; see ProtocolOptions::keyrange_locks).
-  int64_t key_lo = 0;
-  int64_t key_hi = 0;
   uint32_t shard = 0;
   uint16_t depth = 0;
   uint8_t target_space = 0;  ///< LockTarget::Space

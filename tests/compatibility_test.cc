@@ -117,9 +117,12 @@ struct ItemMatrixTest : public ::testing::Test {
     types = orderentry::Install(&db).ValueOrDie();
   }
   bool Cell(const std::string& a, const std::string& b) {
-    // Representative parameters: all on the same order number.
+    // Representative parameters: all on the same order number. The first
+    // NewOrder carries an OrderNo hint above that order, which the literal
+    // Figure 2 ignores: NewOrder/ShipOrder and NewOrder/PayOrder still
+    // conflict.
     Args args_a, args_b;
-    if (a == "NewOrder") args_a = {Value(7), Value(1)};
+    if (a == "NewOrder") args_a = {Value(7), Value(1), Value(9)};
     if (a == "ShipOrder" || a == "PayOrder") args_a = {Value(1)};
     if (b == "NewOrder") args_b = {Value(8), Value(2)};
     if (b == "ShipOrder" || b == "PayOrder") args_b = {Value(1)};
@@ -174,6 +177,38 @@ TEST(ItemMatrixRefined, ParameterRefinedShipPairs) {
                                    "PayOrder", {Value(4)}));
   EXPECT_FALSE(db.compat()->Commute(types.item, "PayOrder", {Value(3)},
                                     "PayOrder", {Value(3)}));
+}
+
+TEST(ItemMatrixRefined, NewOrderCommutesWithShipAndPayBelowHint) {
+  Database db;
+  orderentry::InstallOptions opts;
+  opts.parameter_refined_item_matrix = true;
+  auto types = orderentry::Install(&db, opts).ValueOrDie();
+  const CompatibilityRegistry* c = db.compat();
+  const Args hinted = {Value(7), Value(1), Value(5)};  // allocates >= 5
+  for (const char* other : {"ShipOrder", "PayOrder"}) {
+    // Commute only for an integer order number below the integer hint, in
+    // either query order.
+    EXPECT_TRUE(c->Commute(types.item, "NewOrder", hinted, other, {Value(4)}))
+        << other;
+    EXPECT_TRUE(c->Commute(types.item, other, {Value(1)}, "NewOrder", hinted))
+        << other;
+    EXPECT_FALSE(c->Commute(types.item, "NewOrder", hinted, other, {Value(5)}))
+        << other << ": k == h";
+    EXPECT_FALSE(c->Commute(types.item, other, {Value(6)}, "NewOrder", hinted))
+        << other << ": k > h";
+    EXPECT_FALSE(c->Commute(types.item, "NewOrder", {Value(7), Value(1)},
+                            other, {Value(1)}))
+        << other << ": no hint";
+    EXPECT_FALSE(c->Commute(types.item, "NewOrder",
+                            {Value(7), Value(1), Value("5")}, other,
+                            {Value(1)}))
+        << other << ": string hint";
+    EXPECT_FALSE(
+        c->Commute(types.item, "NewOrder", hinted, other, {Value("1")}))
+        << other << ": string order number";
+    EXPECT_TRUE(c->HasPredicate(types.item, "NewOrder", other)) << other;
+  }
 }
 
 // --- paper Figure 3 (Order), every cell -------------------------------------

@@ -1,6 +1,6 @@
 // Unit tests for the lock manager: every branch of the paper's test-conflict
 // (Figure 9) plus the baseline conflict rules, FCFS, deadlock detection,
-// timeouts and key-range locks — exercised directly on hand-built
+// timeouts and parameter predicates — exercised directly on hand-built
 // transaction trees.
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ constexpr TypeId kItemT = 1;   // "Item"-like type: methods Ma, Mb
 constexpr TypeId kAtomT = 2;   // atomic leaves via generic Get/Put
 constexpr TypeId kFcfsT = 3;   // Fa/Fa commute, Fa/Fb conflict, Fb/Fb conflict
 constexpr TypeId kSetT = 5;    // set object via generic Insert/Remove
-constexpr TypeId kKrngT = 6;   // Wr/Wr matrix-CONFLICT + point key footprint
+constexpr TypeId kKrngT = 6;   // Wr/Wr commute iff their keys differ
 constexpr Oid kObjA = 100;     // an encapsulated object
 constexpr Oid kObjB = 200;     // an implementation atom below it
 constexpr Oid kObjC = 300;     // a set object
@@ -38,16 +38,13 @@ struct LockManagerTest : public ::testing::Test {
     compat.Define(kFcfsT, "Fa", "Fa", true);
     compat.Define(kFcfsT, "Fa", "Fb", false);
     compat.Define(kFcfsT, "Fb", "Fb", false);
-    // The keyrange escalation shape (§5.8): the matrix says Wr always
-    // conflicts with Wr, but a non-exact footprint says each invocation
-    // only touches the point key args[0] — so with keyrange_locks the lock
-    // manager can prove Wr(1) and Wr(2) independent and skip the cell.
-    compat.Define(kKrngT, "Wr", "Wr", false);
-    MethodSpec wr;
-    wr.reads = KeyRef::Point(0);
-    wr.writes = KeyRef::Point(0);
-    wr.exact = false;
-    compat.DefineMethodSpec(kKrngT, "Wr", wr);
+    // A parameter predicate (§3): each Wr touches only the key args[0], so
+    // Wr(1) and Wr(2) commute while Wr(1) and Wr(1) conflict.
+    compat.DefinePredicate(kKrngT, "Wr", "Wr",
+                           [](const Args& a, const Args& b) {
+                             return !a.empty() && !b.empty() &&
+                                    a[0].AsInt() != b[0].AsInt();
+                           });
   }
 
   std::unique_ptr<LockManager> Make(ProtocolOptions o) {
@@ -490,15 +487,14 @@ TEST_F(LockManagerTest, DistinctTargetSpacesDoNotCollide) {
   EXPECT_EQ(lm->stats().blocked_acquires, 0u);
 }
 
-// --- key-range locks (§5.8) ------------------------------------------------
+// --- parameter predicates (§3) ---------------------------------------------
 
 TEST_F(LockFastPathTest, KeyrangeRelievesDisjointMatrixConflict) {
-  // Two foreign Wr invocations: the matrix cell is CONFLICT, but the key
-  // intervals [1,1] and [2,2] are disjoint, so with keyrange_locks the
-  // second acquisition is granted without a conflict test. Same key still
-  // blocks, and with the flag off the matrix verdict stands unrelieved.
+  // Two foreign Wr invocations on different keys: the Wr/Wr cell is a
+  // predicate that commutes them, so the second acquisition is granted
+  // as a commute verdict. The same key still blocks, and under a static
+  // conflict cell for the same pair the verdict stands unrelieved.
   ProtocolOptions o;
-  o.keyrange_locks = true;
   o.wait_timeout = std::chrono::milliseconds(50);
   auto lm = std::make_unique<LockManager>(o, &compat);
   TxnTree ta(TxnTree::NextId(), "A", kDatabaseOid, 0);
@@ -509,17 +505,16 @@ TEST_F(LockFastPathTest, KeyrangeRelievesDisjointMatrixConflict) {
   SubTxn* w1x = tc.NewNode(tc.root(), kObjK, kKrngT, "Wr", {Value(1)});
   ASSERT_TRUE(lm->Acquire(w1, LockTarget::ForObject(kObjK), true).ok());
   EXPECT_TRUE(lm->Acquire(w2, LockTarget::ForObject(kObjK), true).ok());
-  EXPECT_GE(lm->stats().keyrange_skips, 1u);
-  EXPECT_GE(lm->stats().commute_grants, 1u);
+  EXPECT_EQ(lm->stats().commute_grants, 1u);
   EXPECT_TRUE(
       lm->Acquire(w1x, LockTarget::ForObject(kObjK), true).IsTimedOut());
   lm->ReleaseTree(tc.root());
   lm->ReleaseTree(tb.root());
   lm->ReleaseTree(ta.root());
 
-  ProtocolOptions off = o;
-  off.keyrange_locks = false;
-  auto lm2 = std::make_unique<LockManager>(off, &compat);
+  CompatibilityRegistry literal;
+  literal.Define(kKrngT, "Wr", "Wr", false);
+  auto lm2 = std::make_unique<LockManager>(o, &literal);
   TxnTree td(TxnTree::NextId(), "D", kDatabaseOid, 0);
   TxnTree te(TxnTree::NextId(), "E", kDatabaseOid, 0);
   SubTxn* w3 = td.NewNode(td.root(), kObjK, kKrngT, "Wr", {Value(1)});
@@ -527,18 +522,17 @@ TEST_F(LockFastPathTest, KeyrangeRelievesDisjointMatrixConflict) {
   ASSERT_TRUE(lm2->Acquire(w3, LockTarget::ForObject(kObjK), true).ok());
   EXPECT_TRUE(
       lm2->Acquire(w4, LockTarget::ForObject(kObjK), true).IsTimedOut());
-  EXPECT_EQ(lm2->stats().keyrange_skips, 0u);
+  EXPECT_EQ(lm2->stats().commute_grants, 0u);
   lm2->ReleaseTree(te.root());
   lm2->ReleaseTree(td.root());
 }
 
 TEST_F(LockFastPathTest, KeyrangeFcfsQueuesBehindOverlappingRangeWaiter) {
-  // FCFS (footnote 5) with intervals: D's Insert(7) is disjoint from every
-  // GRANTED lock, but an earlier-queued RangeScan[1,9] waiter overlaps key
-  // 7 — D must queue behind it, not jump the line via the disjointness
-  // precheck.
+  // FCFS (footnote 5) with key predicates: D's Insert(7) commutes with
+  // every GRANTED lock, but an earlier-queued RangeScan[1,9] waiter covers
+  // key 7 — D must queue behind it, not jump the line because the granted
+  // locks let it pass.
   ProtocolOptions o;
-  o.keyrange_locks = true;
   o.wait_timeout = std::chrono::milliseconds(20000);
   auto lm = std::make_unique<LockManager>(o, &compat);
   const LockTarget target = LockTarget::ForObject(kObjC);
@@ -579,8 +573,8 @@ TEST_F(LockFastPathTest, KeyrangeFcfsQueuesBehindOverlappingRangeWaiter) {
   while (lm->NumWaiters() != 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // D is genuinely queued: its interval [7,7] passes A's granted [5,5] and
-  // B's waiting [5,5], but C's earlier-queued overlapping [1,9] holds it.
+  // D is genuinely queued: its key 7 passes A's granted and B's waiting
+  // Insert(5), but C's earlier-queued RangeScan over [1,9] holds it.
   EXPECT_EQ(lm->NumWaiters(), 3u);
 
   // Release the chain: A's commit admits B, B's admits C, C's admits D.
@@ -592,7 +586,7 @@ TEST_F(LockFastPathTest, KeyrangeFcfsQueuesBehindOverlappingRangeWaiter) {
   EXPECT_TRUE(st_b.ok()) << st_b.ToString();
   EXPECT_TRUE(st_c.ok()) << st_c.ToString();
   EXPECT_TRUE(st_d.ok()) << st_d.ToString();
-  EXPECT_GE(lm->stats().keyrange_skips, 2u);
+  EXPECT_GE(lm->stats().commute_grants, 2u);
   EXPECT_EQ(lm->CheckInvariantsNow(), 0u);
   lm->ReleaseTree(td.root());
 }
@@ -608,15 +602,10 @@ TEST_F(LockFastPathTest, KeyrangeFcfsQueuesBehindOverlappingRangeWaiter) {
 std::vector<int> RunVerdictScript(CompatibilityRegistry* compat, int mask) {
   ProtocolOptions o;
   o.wait_timeout = std::chrono::milliseconds(50);
-  // Key-range locks must be verdict-preserving on this script: every cell
-  // they skip (disjoint generic set keys) is one the key predicates already
-  // resolve to commute, and overlapping/same-key pairs fall through to the
-  // ordinary conflict test.
-  o.keyrange_locks = (mask & 1) != 0;
   // Neither the invariant checker nor the table's sharding may change a
   // verdict.
-  o.debug_lock_checks = (mask & 2) != 0;
-  o.lock_table_shards = (mask & 4) != 0 ? 1 : 16;
+  o.debug_lock_checks = (mask & 1) != 0;
+  o.lock_table_shards = (mask & 2) != 0 ? 1 : 16;
   LockManager lm(o, compat);
   std::vector<int> codes;
   auto rec = [&codes](const Status& st) {
@@ -710,8 +699,8 @@ TEST_F(LockFastPathTest, VerdictsIdenticalUnderEveryFlagCombination) {
                        static_cast<int>(StatusCode::kTimedOut)),
             0);
   EXPECT_EQ(baseline.back(), 0);  // no invariant violations
-  // Bits: 1 keyrange_locks, 2 debug_lock_checks, 4 single-shard table.
-  for (int mask = 1; mask < 8; ++mask) {
+  // Bits: 1 debug_lock_checks, 2 single-shard table.
+  for (int mask = 1; mask < 4; ++mask) {
     EXPECT_EQ(RunVerdictScript(&compat, mask), baseline)
         << "verdict divergence with flag mask " << mask;
   }

@@ -39,7 +39,7 @@ void InstallScratchMatrix(CompatibilityRegistry* c) {
 
 constexpr TypeId kSpecType = 78;
 
-/// A registry whose cells are DERIVED from exact footprints (§5.8): a
+/// A registry whose cells are DERIVED from footprints (§5.8): a
 /// point-keyed blind insert and a point-keyed read. Every pair involving
 /// the insert compiles to a key-overlap predicate, the read pair to a
 /// static compatible cell — all computed, none hand-written.
@@ -140,9 +140,9 @@ TEST(MatrixVerifyTest, WellFormedDerivedSpecsPass) {
   const std::string table = MatrixVerifier(&c).DumpTable();
   for (const char* needle :
        {"spec MvIns reads=none writes=point(arg0) observes_size=no "
-        "size_delta=1 exact=yes",
+        "size_delta=1\n",
         "spec MvSel reads=point(arg0) writes=none observes_size=no "
-        "size_delta=0 exact=yes",
+        "size_delta=0\n",
         "cell MvIns x MvSel = pred{", "cell MvSel x MvSel = commute"}) {
     EXPECT_NE(table.find(needle), std::string::npos)
         << "missing " << needle << " in:\n" << table;
@@ -154,7 +154,7 @@ TEST(MatrixVerifyTest, RejectsCorruptedDerivedCell) {
   InstallScratchSpecs(&c);
   // Flip BOTH directions of the derived key-overlap predicate cell to a
   // static conflict: symmetry still holds, but the published table now
-  // contradicts what the footprint algebra computes from the two exact
+  // contradicts what the footprint algebra computes from the two
   // specs — the lock manager would block point ops on different keys that
   // the specs prove independent.
   ASSERT_TRUE(c.TestOnlyCorruptCell(kSpecType, "MvIns", "MvSel",

@@ -136,6 +136,43 @@ TEST_F(MvccTest, SnapshotIsStableAcrossLaterCommits) {
   EXPECT_EQ(r.ValueOrDie().AsInt() & kEventShippedBit, 0);
 }
 
+TEST_F(MvccTest, SetSizeReadsSnapshotAcrossConcurrentInsert) {
+  // A snapshot transaction reads an Orders set's size, a NewOrder inserts
+  // into that set and commits without waiting (snapshot reads take no
+  // locks), and the second read still returns the snapshot's size: it now
+  // finds the set's version chain and picks the version below its
+  // snapshot timestamp.
+  Oid item = data.item_oids[0];
+  Oid orders = db.store()->Component(item, "Orders").ValueOrDie();
+  Semaphore first_read_done, writer_committed;
+  std::thread writer([&] {
+    first_read_done.Wait();
+    auto r = db.RunTransaction("TN", TN_EnterOrder(item, 77, 5));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    writer_committed.Post();
+  });
+  const uint64_t snapshot_reads_before = db.versions()->stats().snapshot_reads;
+  auto r = db.RunReadTransaction("r", [&](TxnCtx& ctx) -> Result<Value> {
+    SEMCC_ASSIGN_OR_RETURN(size_t first, ctx.SetSize(orders));
+    first_read_done.Post();
+    writer_committed.Wait();
+    SEMCC_ASSIGN_OR_RETURN(size_t second, ctx.SetSize(orders));
+    EXPECT_EQ(second, first) << "snapshot saw a later insert";
+    return Value(static_cast<int64_t>(second));
+  });
+  writer.join();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().AsInt(), 3);
+  EXPECT_GT(db.versions()->stats().snapshot_reads, snapshot_reads_before);
+  // A fresh snapshot sees the committed insert.
+  auto after = db.RunReadTransaction("r", [&](TxnCtx& ctx) -> Result<Value> {
+    SEMCC_ASSIGN_OR_RETURN(size_t n, ctx.SetSize(orders));
+    return Value(static_cast<int64_t>(n));
+  });
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.ValueOrDie().AsInt(), 4);
+}
+
 TEST_F(MvccTest, GcNeverReclaimsVisibleVersions) {
   Oid item = data.item_oids[0];
   Oid status = StatusAtom(item, 1);

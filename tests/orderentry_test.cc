@@ -2,6 +2,9 @@
 // method semantics, and the five transaction types.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "app/orderentry/order_entry.h"
 #include "core/database.h"
 
@@ -64,6 +67,60 @@ TEST_F(OrderEntryTest, NewOrderAssignsNextNumber) {
   EXPECT_EQ(r2.ValueOrDie().AsInt(), 6);
 }
 
+TEST_F(OrderEntryTest, NewOrderRejectsHintAboveAllocatedNumber) {
+  // The refined Item matrix commutes NewOrder(c, q, h) with Ship/Pay of
+  // every order below h, so the body must refuse a hint it cannot honour:
+  // the item holds orders 1..4, so this call would allocate 5, not >= 6.
+  Oid item = data.item_oids[0];
+  Oid next = db.store()->Component(item, "NextOrderNo").ValueOrDie();
+  Oid orders = db.store()->Component(item, "Orders").ValueOrDie();
+  auto r = db.RunTransaction("tn", TN_EnterOrder(item, 77, 5, /*hint=*/6));
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  EXPECT_EQ(db.store()->Get(next).ValueOrDie().AsInt(), 4);
+  EXPECT_EQ(db.store()->SetSize(orders).ValueOrDie(), 4u);
+  EXPECT_FALSE(FindOrder(&db, item, 5).ok());
+  // A hint the allocation meets is accepted.
+  auto ok = db.RunTransaction("tn", TN_EnterOrder(item, 77, 5, /*hint=*/5));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.ValueOrDie().AsInt(), 5);
+  EXPECT_EQ(db.store()->Get(next).ValueOrDie().AsInt(), 5);
+}
+
+TEST_F(OrderEntryTest, SetSizeUnderLockingWaitsForConcurrentInsert) {
+  // T1 reads the size of an item's Orders set; a concurrent NewOrder then
+  // inserts into that set. Size conflicts with Insert, so the NewOrder
+  // waits for T1's commit, and a later transaction sees the new size.
+  Oid item = data.item_oids[0];
+  Oid orders = db.store()->Component(item, "Orders").ValueOrDie();
+  std::thread inserter;
+  const uint64_t blocked_before = db.locks()->stats().blocked_acquires;
+  auto r = db.RunTransactionOnce("T1", [&](TxnCtx& ctx) -> Result<Value> {
+    SEMCC_ASSIGN_OR_RETURN(size_t n, ctx.SetSize(orders));
+    inserter = std::thread([&] {
+      auto tn = db.RunTransaction("TN", TN_EnterOrder(item, 77, 5));
+      EXPECT_TRUE(tn.ok()) << tn.status().ToString();
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (db.locks()->stats().blocked_acquires == blocked_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_GT(db.locks()->stats().blocked_acquires, blocked_before)
+        << "the insert did not wait for T1's Size lock";
+    return Value(static_cast<int64_t>(n));
+  });
+  if (inserter.joinable()) inserter.join();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().AsInt(), 4);
+  auto after = db.RunTransaction("T2", [&](TxnCtx& ctx) -> Result<Value> {
+    SEMCC_ASSIGN_OR_RETURN(size_t n, ctx.SetSize(orders));
+    return Value(static_cast<int64_t>(n));
+  });
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.ValueOrDie().AsInt(), 5);
+}
+
 TEST_F(OrderEntryTest, ShipOrderUpdatesQohAndStatus) {
   Oid item = data.item_oids[0];
   Oid order = FindOrder(&db, item, 2).ValueOrDie();
@@ -122,6 +179,31 @@ TEST_F(OrderEntryTest, TotalPaymentSumsOnlyPaidOrders) {
                    .ValueOrDie()
                    .AsInt();
   EXPECT_EQ(total.ValueOrDie().AsInt(), 100 * (q1 + q3));
+}
+
+TEST_F(OrderEntryTest, TotalPaymentScanSumsEveryItem) {
+  // Pay orders on two of the three items, then compare the one-transaction
+  // scan over every item with the per-item totals.
+  ASSERT_TRUE(
+      db.RunTransaction("t2", T2_PayTwoOrders(data.item_oids[0], 1,
+                                              data.item_oids[1], 2))
+          .ok());
+  ASSERT_TRUE(db.RunTransaction("t", [&](TxnCtx& ctx) {
+                  return ctx.Invoke(data.item_oids[0], "PayOrder", {Value(3)});
+                }).ok());
+  int64_t sum = 0;
+  for (Oid item : data.item_oids) {
+    auto t = db.RunTransaction("t5", T5_TotalPayment(item));
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    sum += t.ValueOrDie().AsInt();
+  }
+  EXPECT_GT(sum, 0);
+  for (int repeat : {1, 2}) {
+    auto scan = db.RunTransaction(
+        "t5-scan", T5_TotalPaymentScan(data.item_oids, repeat));
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(scan.ValueOrDie().AsInt(), sum) << "repeat=" << repeat;
+  }
 }
 
 TEST_F(OrderEntryTest, TotalPaymentOfFreshItemIsZero) {

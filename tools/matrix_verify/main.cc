@@ -1,14 +1,14 @@
 // matrix_verify: build-time verification of the commutativity matrices.
 //
 // Installs the full application registry (the paper's order-entry schema
-// with the parameter-refined Fig. 2/3 predicates and key footprints, plus
-// the standard ADTs — which register exact generic-op footprints for their
-// keyed sets, so the derived Orders/QueueEntries cells are covered) into a
-// scratch in-memory database and runs cc/matrix_verifier.h over it: cell
-// symmetry, registration/dense agreement, predicate symmetry +
-// determinism, matrix totality (the retained-lock closure property the
-// ancestor-commutativity walk relies on), and spec-derivation agreement (every cell between two exact footprints must
-// re-derive to itself, derived predicates must track SpecsCommute, and
+// with the parameter-refined Fig. 2/3 predicates, plus the standard ADTs —
+// which register generic-op footprints for their keyed sets, so the derived
+// Orders/QueueEntries cells are covered) into a scratch in-memory database
+// and runs cc/matrix_verifier.h over it: cell symmetry, registration/dense
+// agreement, predicate symmetry + determinism, matrix totality (the
+// retained-lock closure property the ancestor-commutativity walk relies
+// on), and spec-derivation agreement (every cell between two footprints
+// must re-derive to itself, derived predicates must track SpecsCommute, and
 // derivation from the generic footprints must reproduce the built-in
 // generic key rules).
 //
@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
 
   semcc::Database db;
   semcc::orderentry::InstallOptions opts;
-  // Verify the parameter-refined variant: it is a strict superset of the
-  // paper's Figure 2 (two extra predicate cells) and exercises every cell
-  // kind the registry can compile.
+  // Verify the parameter-refined variant: it refines four of the paper's
+  // Figure 2 conflict cells into predicates and exercises every cell kind
+  // the registry can compile.
   opts.parameter_refined_item_matrix = true;
   auto installed = semcc::orderentry::Install(&db, opts);
   if (!installed.ok()) {
