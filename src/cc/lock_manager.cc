@@ -306,11 +306,8 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
   for (const LockEntry& e : q.entries) {
     if (e.acquirer == t) continue;
     // Test against held locks and earlier-queued requests (FCFS, paper
-    // footnote 5). Compensating actions are exempt from FCFS: they operate
-    // under the transaction's existing retained locks, and queueing them
-    // behind foreign waiters (which wait for THIS transaction's completion)
-    // would deadlock the rollback itself.
-    if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
+    // footnote 5).
+    if (!FcfsTests(q, e, my_seq, t)) continue;
     ConflictOutcome why = ConflictOutcome::kNoLock;
     SubTxn* b = TestConflict(e, t, is_write, &why);
     // Do NOT drop blockers that completed between the conflict test and
@@ -325,12 +322,18 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
       if (std::find(out->blockers.begin(), out->blockers.end(), b) ==
           out->blockers.end()) {
         out->blockers.push_back(b);
-        // Classify the wake event at scan time: a blocker still incomplete
-        // NOW completes later — the pre-sleep revalidation must re-check it
-        // under the graph mutex. One already completed is awaiting
-        // ReleaseTree, which purges this queue under this shard's mutex and
-        // so cannot be missed by a sleeping waiter.
-        if (!b->completed()) out->completion_watch.push_back(b);
+        // Classify the wake event: only a completed root is left to
+        // ReleaseTree, which always follows a root's completion and purges
+        // this queue under this shard's mutex, so it cannot be missed by a
+        // sleeping waiter. Any other blocker's completion is the wake event,
+        // and the pre-sleep revalidation re-checks it — even one that has
+        // completed since TestConflict read it as incomplete (a Case 2
+        // ancestor): its completion scan may have run before we registered,
+        // and its tree may not end for a long time. The re-scan then finds
+        // a new verdict, so a completed blocker is revalidated only once.
+        if (b->parent() != nullptr || !b->completed()) {
+          out->completion_watch.push_back(b);
+        }
       }
       if (count_stats) {
         // A retained hit is orthogonal to the verdict kind: the blocking
@@ -364,6 +367,26 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
       }
     }
   }
+}
+
+bool LockManager::FcfsTests(const LockQueue& q, const LockEntry& e,
+                            uint64_t my_seq, SubTxn* t) const {
+  if (e.granted) return true;
+  // Compensating actions are exempt from FCFS: they operate under the
+  // transaction's existing retained locks, and queueing them behind foreign
+  // waiters (which wait for THIS transaction's completion) would deadlock
+  // the rollback itself.
+  if (e.seq > my_seq || t->compensation()) return false;
+  if (e.acquirer->SameRootAs(t)) return true;
+  // The same holds for a request of a tree that already holds a lock the
+  // waiter waits for. The waiter holds nothing, and every granted entry is
+  // still tested, so passing it cannot grant a conflicting lock.
+  for (const LockEntry& g : q.entries) {
+    if (!g.granted || !g.acquirer->SameRootAs(t)) continue;
+    ConflictOutcome why = ConflictOutcome::kNoLock;
+    if (TestConflict(g, e.acquirer, e.is_write, &why) != nullptr) return false;
+  }
+  return true;
 }
 
 void LockManager::ExpandDependencies(
@@ -442,7 +465,7 @@ void LockManager::CheckGrantInvariants(const LockShard& shard,
   // non-nil verdict here means the scan granted a conflicting request.
   for (const LockEntry& e : q.entries) {
     if (e.acquirer == t) continue;
-    if (!e.granted && (e.seq > my_seq || t->compensation())) continue;
+    if (!FcfsTests(q, e, my_seq, t)) continue;
     ConflictOutcome why = ConflictOutcome::kNoLock;
     SubTxn* b = TestConflict(e, t, is_write, &why);
     if (b != nullptr) {
@@ -606,7 +629,7 @@ inline bool MaskHasShard(uint64_t mask, size_t idx) {
 std::list<LockEntry>::iterator LockManager::AppendEntry(
     LockShard& shard, LockQueue& q, SubTxn* t, bool is_write, bool granted,
     uint64_t seq) {
-  (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
+  if (!granted) ++shard.waiting;
   q.entries.push_back(LockEntry{t, t, t->method_id(), is_write, granted, seq});
   return std::prev(q.entries.end());
 }
@@ -615,6 +638,7 @@ void LockManager::RemoveWaiter(LockShard& shard, const LockTarget& target,
                                LockQueue& q,
                                std::list<LockEntry>::iterator my_it) {
   q.entries.erase(my_it);
+  --shard.waiting;
   if (q.entries.empty()) shard.table.erase(target);
   // Our waiting entry may have been blocking later-queued requests (FCFS);
   // wake this shard so they re-scan.
@@ -623,7 +647,11 @@ void LockManager::RemoveWaiter(LockShard& shard, const LockTarget& target,
 
 void LockManager::EraseWaitRecord(SubTxn* t) {
   MutexLock g(graph_mu_);
-  waits_.erase(t);
+  EraseWaitRecordLocked(t);
+}
+
+void LockManager::EraseWaitRecordLocked(SubTxn* t) {
+  if (waits_.erase(t) != 0) num_waits_.fetch_sub(1, std::memory_order_release);
 }
 
 Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
@@ -693,6 +721,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
                     /*count_stats=*/false, &scan);
     if (scan.blockers.empty()) {
       my_it->granted = true;
+      --shard.waiting;
       counters_.Inc(shard_idx, kCtrGrantedEntries);
       t->set_grant_seq(NextSeq());
       if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
@@ -730,15 +759,19 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
     // Still holding shard.mu: any event that purges our blockers' queue
     // entries must take it, so it cannot complete between the scan above
     // and the condvar wait below. Completion events touch no shard mutex,
-    // so those are closed out by re-checking the watched blockers under
-    // the graph mutex — a completer publishes state before its own
-    // graph-mutex scan of waits_, hence either it sees our registration
-    // (and notifies our shard) or we see its completion here and retry.
+    // so those are closed out by re-checking the watched blockers after
+    // counting this registration in num_waits_, with a seq_cst fence
+    // between the two: either the completer reads the count and scans
+    // waits_ under the graph mutex (and notifies our shard), or we see its
+    // completion here and retry (the argument is at OnSubTxnCompleted).
     bool revalidate = false;
     bool self_victim = false;
     ShardSet wake;
     {
       MutexLock g(graph_mu_);
+      auto [rec_it, fresh] = waits_.try_emplace(t);
+      if (fresh) num_waits_.fetch_add(1, std::memory_order_seq_cst);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
       if (t->root()->abort_requested() && !t->compensation()) {
         revalidate = true;  // flagged since the loop-top check; don't sleep
       } else {
@@ -749,15 +782,17 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
           }
         }
       }
-      if (!revalidate) {
-        WaitRecord& rec = waits_[t];
+      if (revalidate) {
+        if (fresh) EraseWaitRecordLocked(t);
+      } else {
+        WaitRecord& rec = rec_it->second;
         rec.blockers.assign(scan.blockers.begin(), scan.blockers.end());
         rec.shard = shard_idx;
         SubTxn* victim = DetectDeadlock(t);
         if (victim != nullptr) {
           if (victim == t->root()) {
             counters_.Inc(shard_idx, kCtrDeadlocks);
-            waits_.erase(t);
+            EraseWaitRecordLocked(t);
             self_victim = true;
           } else if (!victim->abort_requested()) {
             // First detector to see this cycle: flag the victim (under
@@ -857,7 +892,7 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
         }
         it = q.entries.empty() ? shard.table.erase(it) : std::next(it);
       }
-      if (changed) wake.set(i);
+      if (changed && shard.waiting > 0) wake.set(i);
     }
   } else if (options_.protocol == Protocol::kClosedNested &&
              t->parent() != nullptr) {
@@ -889,8 +924,19 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
   // Waits-for sets shrink on completion, not on lock release: wake exactly
   // the shards hosting a waiter that waits for t. The retained-lock case
   // (the common one) therefore touches no shard mutex at all before this
-  // point.
-  {
+  // point, and when nobody waits it touches no mutex at all.
+  //
+  // Skipping graph_mu_ on a zero count loses no wakeup. Our caller stored
+  // t's completed state before the fence below. A waiter in Acquire counts
+  // its registration in num_waits_ (under graph_mu_), issues its own
+  // seq_cst fence, then re-reads the state of every blocker it watches.
+  // The two fences are ordered. If ours is first, the waiter reads t as
+  // completed and re-scans instead of sleeping. If the waiter's is first,
+  // the load below reads its count, so we take graph_mu_, which we can get
+  // only after the waiter has left its critical section with its record
+  // in waits_; we then find it and notify its shard.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (num_waits_.load(std::memory_order_acquire) != 0) {
     MutexLock g(graph_mu_);
     for (const auto& [waiter, rec] : waits_) {
       (void)waiter;
@@ -924,7 +970,11 @@ void LockManager::ReleaseTree(SubTxn* root) {
       LockQueue& q = it->second;
       for (auto e = q.entries.begin(); e != q.entries.end();) {
         if (e->acquirer->root() == root) {
-          if (e->granted) counters_.Inc(i, kCtrReleasedEntries);
+          if (e->granted) {
+            counters_.Inc(i, kCtrReleasedEntries);
+          } else {
+            --shard.waiting;
+          }
           e = q.entries.erase(e);
           changed = true;
         } else {
@@ -933,15 +983,18 @@ void LockManager::ReleaseTree(SubTxn* root) {
       }
       it = q.entries.empty() ? shard.table.erase(it) : std::next(it);
     }
-    if (changed) wake.set(i);
+    if (changed && shard.waiting > 0) wake.set(i);
     if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
       inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
       CheckNoLeakedLocks(shard, root);
     }
   }
   // Purge dangling blocker pointers into the departing tree; the blocked
-  // threads re-derive their waits-for sets when they wake.
-  {
+  // threads re-derive their waits-for sets when they wake. A record that
+  // names the tree was registered by a waiter that saw one of the tree's
+  // entries under its shard mutex, so before the sweep above took that
+  // mutex: a zero count here means no record names the tree.
+  if (num_waits_.load(std::memory_order_acquire) != 0) {
     MutexLock g(graph_mu_);
     for (auto& [waiter, rec] : waits_) {
       (void)waiter;
@@ -953,9 +1006,10 @@ void LockManager::ReleaseTree(SubTxn* root) {
           blockers.end());
       if (blockers.size() != before) wake.set(rec.shard);
     }
-    if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
-      held_targets_.erase(root);
-    }
+  }
+  if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
+    MutexLock g(graph_mu_);
+    held_targets_.erase(root);
   }
   NotifyShards(wake);
 }

@@ -341,6 +341,9 @@ class LockManager {
     std::unordered_map<LockTarget, LockQueue, LockTargetHash> table
         SEMCC_GUARDED_BY(mu);
     uint64_t next_entry_seq SEMCC_GUARDED_BY(mu) = 0;
+    /// Waiting entries in `table`. Every thread parked on `cv` owns one, so
+    /// a release that finds none here has nobody to wake.
+    uint32_t waiting SEMCC_GUARDED_BY(mu) = 0;
   };
 
   /// Set of shard indices to notify once all locks are dropped.
@@ -365,9 +368,9 @@ class LockManager {
     ConflictOutcome block_why = ConflictOutcome::kNoLock;
     SubTxn* first_blocker = nullptr;
     bool blocker_retained = false;
-    /// Blockers that were still incomplete at scan time: their *completion*
-    /// is the wake event, so the pre-sleep revalidation re-checks them. A
-    /// blocker already completed at scan time is awaiting ReleaseTree,
+    /// Blockers whose *completion* is the wake event, so the pre-sleep
+    /// revalidation re-checks them: every blocker but a root that had
+    /// already completed at scan time. That root is awaiting ReleaseTree,
     /// which purges queue entries under this shard's mutex and therefore
     /// cannot be missed.
     std::vector<SubTxn*> completion_watch;
@@ -415,6 +418,15 @@ class LockManager {
                        uint32_t stripe, bool count_stats, ScanResult* out)
       SEMCC_REQUIRES(shard.mu);
 
+  /// Whether the FCFS rule (paper footnote 5) makes `t`, arriving at
+  /// `my_seq`, test against the entry `e` of its queue: every granted entry,
+  /// and every earlier waiting one, except (a) when `t` compensates and (b)
+  /// a foreign waiter that itself waits for a lock granted to `t`'s tree.
+  /// Such a waiter holds nothing and cannot be granted before that lock
+  /// goes, so queueing `t` behind it would only close a wait cycle.
+  bool FcfsTests(const LockQueue& q, const LockEntry& e, uint64_t my_seq,
+                 SubTxn* t) const;
+
   /// Withdraw `t`'s queue entry and wake this shard (abandon paths of
   /// Acquire: abort, deadlock victim, timeout). The caller separately
   /// erases t's wait record.
@@ -428,8 +440,10 @@ class LockManager {
                                              bool granted, uint64_t seq)
       SEMCC_REQUIRES(shard.mu);
 
-  /// Erase t's wait record (if any) under the graph mutex.
+  /// Erase t's wait record (if any) and take it out of num_waits_; the
+  /// first form takes the graph mutex itself.
   void EraseWaitRecord(SubTxn* t) SEMCC_EXCLUDES(graph_mu_);
+  void EraseWaitRecordLocked(SubTxn* t) SEMCC_REQUIRES(graph_mu_);
 
   /// Detect a deadlock reachable from requester `t`; returns the chosen
   /// victim's root (maximal priority rank on the cycle = youngest
@@ -499,6 +513,10 @@ class LockManager {
   mutable Mutex graph_mu_;
   /// Current wait edges: blocked requester -> its registration.
   std::map<SubTxn*, WaitRecord> waits_ SEMCC_GUARDED_BY(graph_mu_);
+  /// Records in waits_ plus registrations under way. Written under
+  /// graph_mu_, read without it: a completion or release that reads 0 has
+  /// no waiter to wake and skips graph_mu_ (see OnSubTxnCompleted).
+  std::atomic<uint64_t> num_waits_{0};
 
   std::atomic<uint64_t> clock_{0};
 

@@ -16,8 +16,12 @@
 #ifndef SEMCC_CC_METHOD_INTERNER_H_
 #define SEMCC_CC_METHOD_INTERNER_H_
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,6 +53,13 @@ inline constexpr MethodId kNumGenericOps = 9;
 /// Intern() runs once per action (every SubTxn constructor interns its
 /// method name) and at compatibility registration. The conflict test uses
 /// the cached ids and never comes here.
+///
+/// Readers take no lock: the table is an immutable snapshot reached through
+/// an atomic pointer, as in CompatibilityRegistry. Interning a new name
+/// copies the snapshot under the writers' mutex, adds the name and publishes
+/// the copy with release. Old snapshots stay alive until the interner dies,
+/// so a reader may keep using the one it loaded; the name strings live once,
+/// in `names_`, and the snapshots hold views of them.
 class MethodInterner {
  public:
   /// The process-wide interner (generic operations pre-interned).
@@ -61,18 +72,31 @@ class MethodInterner {
   MethodId Intern(const std::string& name) SEMCC_EXCLUDES(mu_);
 
   /// Id of `name`, or kInvalidMethodId if it was never interned.
-  MethodId Lookup(const std::string& name) const SEMCC_EXCLUDES(mu_);
+  MethodId Lookup(const std::string& name) const;
 
-  /// The name behind `id` (by value: the backing vector may grow).
-  std::string NameOf(MethodId id) const SEMCC_EXCLUDES(mu_);
+  /// The name behind `id`.
+  std::string NameOf(MethodId id) const;
 
   /// Number of distinct interned names (== smallest unassigned id).
-  size_t size() const SEMCC_EXCLUDES(mu_);
+  size_t size() const;
 
  private:
-  mutable SharedMutex mu_;
-  std::unordered_map<std::string, MethodId> ids_ SEMCC_GUARDED_BY(mu_);
-  std::vector<std::string> names_ SEMCC_GUARDED_BY(mu_);
+  struct Snapshot {
+    std::unordered_map<std::string_view, MethodId> ids;
+    std::vector<std::string_view> names;  ///< index = id
+  };
+
+  const Snapshot* Current() const {
+    return current_.load(std::memory_order_acquire);
+  }
+  /// Copy the current snapshot, add `name` at the next id, publish.
+  MethodId AddName(const std::string& name) SEMCC_REQUIRES(mu_);
+
+  Mutex mu_;
+  /// Backing store of every interned name (deque: elements never move).
+  std::deque<std::string> names_ SEMCC_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<Snapshot>> snapshots_ SEMCC_GUARDED_BY(mu_);
+  std::atomic<const Snapshot*> current_{nullptr};
 };
 
 }  // namespace semcc

@@ -10,17 +10,36 @@ ObjectStore::ObjectStore(Schema* schema, RecordManager* records)
     : schema_(schema), records_(records) {
   // Oid 0 = the database root object (no storage record needed).
   auto root = std::make_unique<ObjectMeta>();
-  root->oid = kDatabaseOid;
   root->type = Schema::kDatabaseTypeId;
   root->kind = ObjectKind::kTuple;
-  objects_.push_back(std::move(root));
+  WriterMutexLock guard(meta_mu_);
+  SEMCC_CHECK(Append(std::move(root)).ok());
+}
+
+ObjectStore::~ObjectStore() {
+  const uint64_t size = size_.load(std::memory_order_acquire);
+  for (Oid oid = 0; oid < size; ++oid) delete Slot(oid);
+  for (std::atomic<Chunk*>& chunk : chunks_) {
+    delete chunk.load(std::memory_order_acquire);
+  }
+}
+
+ObjectStore::ObjectMeta* ObjectStore::Slot(Oid oid) const {
+  // The acquire load of size_ pairs with the release store that published
+  // it, after the chunk pointer and the slot: both are visible here. The
+  // slot load is acquire too, because a restore may replace a pad in place.
+  if (oid >= size_.load(std::memory_order_acquire)) return nullptr;
+  const Chunk* chunk =
+      chunks_[oid >> kChunkBits].load(std::memory_order_acquire);
+  return (*chunk)[oid & (kChunkSize - 1)].load(std::memory_order_acquire);
 }
 
 Result<ObjectStore::ObjectMeta*> ObjectStore::Find(Oid oid) const {
-  ReaderMutexLock guard(meta_mu_);
-  if (oid >= objects_.size()) return Status::NotFound("unknown oid");
-  ObjectMeta* meta = objects_[oid].get();
-  if (meta->destroyed) return Status::NotFound("object destroyed");
+  ObjectMeta* meta = Slot(oid);
+  if (meta == nullptr) return Status::NotFound("unknown oid");
+  if (meta->destroyed.load(std::memory_order_acquire)) {
+    return Status::NotFound("object destroyed");
+  }
   return meta;
 }
 
@@ -34,16 +53,41 @@ Result<ObjectStore::ObjectMeta*> ObjectStore::FindOfKind(
   return meta;
 }
 
+void ObjectStore::SetSlot(Oid oid, ObjectMeta* meta) {
+  std::atomic<Chunk*>& chunk_ptr = chunks_[oid >> kChunkBits];
+  Chunk* chunk = chunk_ptr.load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    chunk = new Chunk();
+    chunk_ptr.store(chunk, std::memory_order_release);
+  }
+  (*chunk)[oid & (kChunkSize - 1)].store(meta, std::memory_order_release);
+}
+
+Status ObjectStore::DirectoryFull(const Rid& rid) {
+  if (rid.valid()) SEMCC_RETURN_NOT_OK(records_->Delete(rid));
+  return Status::OutOfSpace("object directory full");
+}
+
+Result<ObjectStore::ObjectMeta*> ObjectStore::Append(
+    std::unique_ptr<ObjectMeta> meta) {
+  const Oid oid = size_.load(std::memory_order_acquire);
+  if (oid >= kMaxObjects) return DirectoryFull(meta->rid);
+  meta->oid = oid;
+  ObjectMeta* published = meta.release();
+  SetSlot(oid, published);
+  size_.store(oid + 1, std::memory_order_release);
+  return published;
+}
+
 Result<Oid> ObjectStore::CreateAtomic(TypeId type, const Value& initial) {
   SEMCC_ASSIGN_OR_RETURN(Rid rid, records_->Insert(initial.Serialize()));
   WriterMutexLock guard(meta_mu_);
   auto meta = std::make_unique<ObjectMeta>();
-  meta->oid = objects_.size();
   meta->type = type;
   meta->kind = ObjectKind::kAtomic;
   meta->rid = rid;
-  objects_.push_back(std::move(meta));
-  const Oid oid = objects_.back()->oid;
+  SEMCC_ASSIGN_OR_RETURN(ObjectMeta * published, Append(std::move(meta)));
+  const Oid oid = published->oid;
   if (listener_ != nullptr) listener_->OnCreateAtomic(oid, type, initial);
   return oid;
 }
@@ -75,15 +119,14 @@ Result<Oid> ObjectStore::CreateTuple(
   SEMCC_ASSIGN_OR_RETURN(Rid rid, records_->Insert(record));
   WriterMutexLock guard(meta_mu_);
   auto meta = std::make_unique<ObjectMeta>();
-  meta->oid = objects_.size();
   meta->type = type;
   meta->kind = ObjectKind::kTuple;
   meta->rid = rid;
   meta->components = std::move(components);
-  objects_.push_back(std::move(meta));
-  const Oid oid = objects_.back()->oid;
+  SEMCC_ASSIGN_OR_RETURN(ObjectMeta * published, Append(std::move(meta)));
+  const Oid oid = published->oid;
   if (listener_ != nullptr) {
-    listener_->OnCreateTuple(oid, type, objects_.back()->components);
+    listener_->OnCreateTuple(oid, type, published->components);
   }
   return oid;
 }
@@ -98,12 +141,11 @@ Result<Oid> ObjectStore::CreateSet(TypeId type) {
   SEMCC_ASSIGN_OR_RETURN(Rid rid, records_->Insert(stub));
   WriterMutexLock guard(meta_mu_);
   auto meta = std::make_unique<ObjectMeta>();
-  meta->oid = objects_.size();
   meta->type = type;
   meta->kind = ObjectKind::kSet;
   meta->rid = rid;
-  objects_.push_back(std::move(meta));
-  const Oid oid = objects_.back()->oid;
+  SEMCC_ASSIGN_OR_RETURN(ObjectMeta * published, Append(std::move(meta)));
+  const Oid oid = published->oid;
   if (listener_ != nullptr) listener_->OnCreateSet(oid, type);
   return oid;
 }
@@ -114,13 +156,11 @@ Status ObjectStore::Destroy(Oid oid) {
   // with a dump (the dump would read the deleted record), and the destroy's
   // log position matches its apply position.
   WriterMutexLock guard(meta_mu_);
-  if (oid >= objects_.size()) return Status::NotFound("unknown oid");
-  ObjectMeta* meta = objects_[oid].get();
-  if (meta->destroyed) return Status::NotFound("object destroyed");
+  SEMCC_ASSIGN_OR_RETURN(ObjectMeta * meta, Find(oid));
   if (meta->rid.valid()) {
     SEMCC_RETURN_NOT_OK(records_->Delete(meta->rid));
   }
-  meta->destroyed = true;
+  meta->destroyed.store(true, std::memory_order_release);
   if (listener_ != nullptr) listener_->OnDestroy(oid);
   return Status::OK();
 }
@@ -216,18 +256,31 @@ Result<size_t> ObjectStore::SetSize(Oid set) {
   return meta->members.size();
 }
 
-Status ObjectStore::EmplaceAt(Oid oid, std::unique_ptr<ObjectMeta> meta) {
-  if (oid < objects_.size() && !objects_[oid]->destroyed) {
-    return Status::AlreadyExists("oid already live: " + std::to_string(oid));
+Result<ObjectStore::ObjectMeta*> ObjectStore::EmplaceAt(
+    Oid oid, std::unique_ptr<ObjectMeta> meta) {
+  if (oid >= kMaxObjects) return DirectoryFull(meta->rid);
+  const Oid size = size_.load(std::memory_order_acquire);
+  if (oid < size) {
+    ObjectMeta* pad = Slot(oid);
+    if (!pad->destroyed.load(std::memory_order_acquire)) {
+      return Status::AlreadyExists("oid already live: " + std::to_string(oid));
+    }
+    // A lookup that raced this restore may still hold the pad.
+    replaced_.emplace_back(pad);
+    ObjectMeta* published = meta.release();
+    SetSlot(oid, published);
+    return published;
   }
-  while (objects_.size() <= oid) {
+  for (Oid gap = size; gap < oid; ++gap) {
     auto pad = std::make_unique<ObjectMeta>();
-    pad->oid = objects_.size();
-    pad->destroyed = true;
-    objects_.push_back(std::move(pad));
+    pad->oid = gap;
+    pad->destroyed.store(true, std::memory_order_release);
+    SetSlot(gap, pad.release());
   }
-  objects_[oid] = std::move(meta);
-  return Status::OK();
+  ObjectMeta* published = meta.release();
+  SetSlot(oid, published);
+  size_.store(oid + 1, std::memory_order_release);
+  return published;
 }
 
 Status ObjectStore::RestoreAtomic(Oid oid, TypeId type, const Value& initial) {
@@ -239,7 +292,7 @@ Status ObjectStore::RestoreAtomic(Oid oid, TypeId type, const Value& initial) {
     meta->type = type;
     meta->kind = ObjectKind::kAtomic;
     meta->rid = rid;
-    SEMCC_RETURN_NOT_OK(EmplaceAt(oid, std::move(meta)));
+    SEMCC_RETURN_NOT_OK(EmplaceAt(oid, std::move(meta)).status());
   }
   if (listener_ != nullptr) listener_->OnCreateAtomic(oid, type, initial);
   return Status::OK();
@@ -253,6 +306,7 @@ Status ObjectStore::RestoreTuple(
     record.append(reinterpret_cast<const char*>(&coid), sizeof(Oid));
   }
   SEMCC_ASSIGN_OR_RETURN(Rid rid, records_->Insert(record));
+  ObjectMeta* published = nullptr;
   {
     WriterMutexLock guard(meta_mu_);
     auto meta = std::make_unique<ObjectMeta>();
@@ -261,11 +315,10 @@ Status ObjectStore::RestoreTuple(
     meta->kind = ObjectKind::kTuple;
     meta->rid = rid;
     meta->components = std::move(components);
-    SEMCC_RETURN_NOT_OK(EmplaceAt(oid, std::move(meta)));
+    SEMCC_ASSIGN_OR_RETURN(published, EmplaceAt(oid, std::move(meta)));
   }
   if (listener_ != nullptr) {
-    ReaderMutexLock guard(meta_mu_);
-    listener_->OnCreateTuple(oid, type, objects_[oid]->components);
+    listener_->OnCreateTuple(oid, type, published->components);
   }
   return Status::OK();
 }
@@ -281,7 +334,7 @@ Status ObjectStore::RestoreSet(Oid oid, TypeId type) {
     meta->type = type;
     meta->kind = ObjectKind::kSet;
     meta->rid = rid;
-    SEMCC_RETURN_NOT_OK(EmplaceAt(oid, std::move(meta)));
+    SEMCC_RETURN_NOT_OK(EmplaceAt(oid, std::move(meta)).status());
   }
   if (listener_ != nullptr) listener_->OnCreateSet(oid, type);
   return Status::OK();
@@ -294,9 +347,10 @@ Status ObjectStore::DumpForCheckpoint() {
   // creates and destroys — structure changes — wait for the dump. That is
   // the "fuzzy" granularity: per object, never globally consistent.
   ReaderMutexLock guard(meta_mu_);
-  for (Oid oid = 1; oid < objects_.size(); ++oid) {
-    ObjectMeta* meta = objects_[oid].get();
-    if (meta->destroyed) continue;
+  const Oid size = size_.load(std::memory_order_acquire);
+  for (Oid oid = 1; oid < size; ++oid) {
+    ObjectMeta* meta = Slot(oid);
+    if (meta->destroyed.load(std::memory_order_acquire)) continue;
     switch (meta->kind) {
       case ObjectKind::kAtomic: {
         // Read + log under the object latch, mirroring Put: the restore
@@ -326,9 +380,9 @@ Status ObjectStore::DumpForCheckpoint() {
   // a destroyed *last* oid would silently shrink the replayed oid space and
   // let a post-restart create reuse its oid while retained log records
   // still name it. Pin the end with a placeholder create + destroy.
-  const Oid last = objects_.size() - 1;
-  if (last >= 1 && objects_[last]->destroyed) {
-    listener_->OnCreateAtomic(last, objects_[last]->type, Value());
+  const Oid last = size - 1;
+  if (last >= 1 && Slot(last)->destroyed.load(std::memory_order_acquire)) {
+    listener_->OnCreateAtomic(last, Slot(last)->type, Value());
     listener_->OnDestroy(last);
   }
   return Status::OK();
@@ -358,8 +412,7 @@ Result<PageId> ObjectStore::PageOf(Oid oid) const {
 }
 
 uint64_t ObjectStore::num_objects() const {
-  ReaderMutexLock guard(meta_mu_);
-  return objects_.size();
+  return size_.load(std::memory_order_acquire);
 }
 
 }  // namespace semcc

@@ -10,6 +10,8 @@
 #ifndef SEMCC_OBJECT_OBJECT_STORE_H_
 #define SEMCC_OBJECT_OBJECT_STORE_H_
 
+#include <array>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -46,9 +48,19 @@ class StoreListener {
 ///
 /// Thread safety: all operations are physically thread-safe (latches only).
 /// Transactional isolation is the lock manager's job, one layer up.
+///
+/// Lookups take no lock. The oid directory is a fixed array of atomic
+/// pointers to fixed-size chunks of atomic meta pointers, plus an atomic
+/// size; a writer fills a meta, stores it and then the size with release,
+/// and a reader that loads the size with acquire sees every slot below it.
+/// `meta_mu_` is the writers' lock only: creates, destroys, restores and
+/// the checkpoint dump exclude each other under it. A published meta is
+/// never freed before the store dies (a restore that replaces a destroyed
+/// pad keeps the pad), so a reader may hold its pointer without a lock.
 class ObjectStore {
  public:
   ObjectStore(Schema* schema, RecordManager* records);
+  ~ObjectStore();
   SEMCC_DISALLOW_COPY_AND_ASSIGN(ObjectStore);
 
   /// Attach/detach the physical-change observer (WAL). Not thread-safe with
@@ -117,13 +129,22 @@ class ObjectStore {
 
   Schema* schema() const { return schema_; }
 
+  /// Oids the directory can hold: kMaxChunks chunks of kChunkSize slots.
+  static constexpr size_t kChunkBits = 12;
+  static constexpr size_t kChunkSize = size_t{1} << kChunkBits;
+  static constexpr size_t kMaxChunks = 4096;
+  static constexpr uint64_t kMaxObjects = kChunkSize * kMaxChunks;
+
  private:
+  /// Every field but `destroyed` and `members` is immutable once the meta
+  /// is published in the directory.
   struct ObjectMeta {
     Oid oid = kInvalidOid;
     TypeId type = kInvalidTypeId;
     ObjectKind kind = ObjectKind::kAtomic;
     Rid rid;
-    bool destroyed = false;
+    /// Set once, by Destroy under meta_mu_; read by lookups without a lock.
+    std::atomic<bool> destroyed{false};
     // Tuple: immutable after creation.
     std::vector<std::pair<std::string, Oid>> components;
     // Per-object latch: guards `members` for sets, and serializes
@@ -133,24 +154,39 @@ class ObjectStore {
     std::map<Value, Oid> members SEMCC_GUARDED_BY(set_mu);
   };
 
-  Result<ObjectMeta*> Find(Oid oid) const SEMCC_EXCLUDES(meta_mu_);
-  Result<ObjectMeta*> FindOfKind(Oid oid, ObjectKind kind) const
-      SEMCC_EXCLUDES(meta_mu_);
+  using Chunk = std::array<std::atomic<ObjectMeta*>, kChunkSize>;
+
+  /// The meta at `oid`, or nullptr past the end. Takes no lock.
+  ObjectMeta* Slot(Oid oid) const;
+  Result<ObjectMeta*> Find(Oid oid) const;
+  Result<ObjectMeta*> FindOfKind(Oid oid, ObjectKind kind) const;
   Status RewriteSetStub(ObjectMeta* meta)
       SEMCC_REQUIRES(meta->set_mu);
-  /// Place `meta` at index `oid` (padding as needed).
-  Status EmplaceAt(Oid oid, std::unique_ptr<ObjectMeta> meta)
+  /// Store `meta` in slot `oid`, allocating its chunk on first use. Does
+  /// not move the size; the caller publishes it afterwards.
+  void SetSlot(Oid oid, ObjectMeta* meta) SEMCC_REQUIRES(meta_mu_);
+  /// Publish `meta` at the next oid (a create).
+  Result<ObjectMeta*> Append(std::unique_ptr<ObjectMeta> meta)
       SEMCC_REQUIRES(meta_mu_);
+  /// Publish `meta` at `oid`, padding the oids between the current end and
+  /// `oid` with destroyed placeholders (a restore).
+  Result<ObjectMeta*> EmplaceAt(Oid oid, std::unique_ptr<ObjectMeta> meta)
+      SEMCC_REQUIRES(meta_mu_);
+  /// Free the record of a meta that found no directory slot.
+  Status DirectoryFull(const Rid& rid);
 
   Schema* const schema_;
   RecordManager* const records_;
   StoreListener* listener_ = nullptr;
 
+  /// Writers' lock: serializes creates, destroys and restores, and keeps
+  /// them out of a checkpoint dump. Lookups never take it.
   mutable SharedMutex meta_mu_;
-  /// index = Oid. meta_mu_ guards the vector (growth/slot replacement); the
-  /// pointed-to ObjectMeta records are stable once published and carry their
-  /// own set_mu for the one mutable field.
-  std::vector<std::unique_ptr<ObjectMeta>> objects_ SEMCC_GUARDED_BY(meta_mu_);
+  /// The directory. Slots below size_ each own one meta.
+  std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
+  std::atomic<uint64_t> size_{0};
+  /// Destroyed pads that a restore replaced; a reader may still hold one.
+  std::vector<std::unique_ptr<ObjectMeta>> replaced_ SEMCC_GUARDED_BY(meta_mu_);
 };
 
 }  // namespace semcc

@@ -2,6 +2,12 @@
 
 namespace semcc {
 
+MethodRegistry::MethodRegistry() {
+  MutexLock guard(mu_);
+  tables_.push_back(std::make_unique<Table>());
+  current_.store(tables_.back().get(), std::memory_order_release);
+}
+
 Status MethodRegistry::Register(MethodDef def) {
   if (def.name.empty()) return Status::InvalidArgument("empty method name");
   if (!def.body) return Status::InvalidArgument("method has no body");
@@ -13,23 +19,28 @@ Status MethodRegistry::Register(MethodDef def) {
         "updates of other transactions)");
   }
   MutexLock guard(mu_);
-  auto key = std::make_pair(def.type, def.name);
-  if (methods_.count(key) > 0) {
-    return Status::AlreadyExists("method already registered: " + def.name);
+  auto next =
+      std::make_unique<Table>(*current_.load(std::memory_order_acquire));
+  auto owned = std::make_unique<MethodDef>(std::move(def));
+  if (!(*next)[owned->type].emplace(owned->name, owned.get()).second) {
+    return Status::AlreadyExists("method already registered: " + owned->name);
   }
-  methods_[key] = std::move(def);
+  defs_.push_back(std::move(owned));
+  current_.store(next.get(), std::memory_order_release);
+  tables_.push_back(std::move(next));
   return Status::OK();
 }
 
 Result<const MethodDef*> MethodRegistry::Find(TypeId type,
                                               const std::string& name) const {
-  MutexLock guard(mu_);
-  auto it = methods_.find(std::make_pair(type, name));
-  if (it == methods_.end()) {
-    return Status::NotFound("no method " + name + " on type " +
-                            std::to_string(type));
+  const Table* table = current_.load(std::memory_order_acquire);
+  auto tit = table->find(type);
+  if (tit != table->end()) {
+    auto mit = tit->second.find(name);
+    if (mit != tit->second.end()) return mit->second;
   }
-  return &it->second;
+  return Status::NotFound("no method " + name + " on type " +
+                          std::to_string(type));
 }
 
 }  // namespace semcc

@@ -8,9 +8,11 @@
 #ifndef SEMCC_TXN_METHOD_REGISTRY_H_
 #define SEMCC_TXN_METHOD_REGISTRY_H_
 
+#include <atomic>
 #include <functional>
-#include <map>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,18 +43,29 @@ struct MethodDef {
 };
 
 /// \brief Thread-safe method lookup table, keyed by (type, name).
+///
+/// Find runs once per Invoke and takes no lock: it reads an immutable table
+/// through an atomic pointer. Register copies the table under the writers'
+/// mutex, adds the method and publishes the copy with release; old tables
+/// stay alive until the registry dies, so a reader may keep using the one it
+/// loaded. Each MethodDef is owned once, by `defs_`; tables point into it.
 class MethodRegistry {
  public:
-  MethodRegistry() = default;
+  MethodRegistry();
   SEMCC_DISALLOW_COPY_AND_ASSIGN(MethodRegistry);
 
-  Status Register(MethodDef def);
+  Status Register(MethodDef def) SEMCC_EXCLUDES(mu_);
   Result<const MethodDef*> Find(TypeId type, const std::string& name) const;
 
  private:
-  mutable Mutex mu_;
-  std::map<std::pair<TypeId, std::string>, MethodDef> methods_
-      SEMCC_GUARDED_BY(mu_);
+  using Table =
+      std::unordered_map<TypeId,
+                         std::unordered_map<std::string, const MethodDef*>>;
+
+  Mutex mu_;
+  std::vector<std::unique_ptr<MethodDef>> defs_ SEMCC_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<Table>> tables_ SEMCC_GUARDED_BY(mu_);
+  std::atomic<const Table*> current_{nullptr};
 };
 
 }  // namespace semcc

@@ -1,6 +1,10 @@
 // Unit tests for the object model: values, schema, and the object store.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "object/object_store.h"
 #include "object/schema.h"
 #include "object/value.h"
@@ -209,6 +213,85 @@ TEST_F(ObjectStoreTest, ValuesSurviveBufferPoolPressure) {
   for (int i = 0; i < 2000; i += 123) {
     EXPECT_EQ(s2.Get(oids[i]).ValueOrDie().AsInt(), i);
   }
+}
+
+TEST_F(ObjectStoreTest, RestorePadsGapsAcrossChunks) {
+  // A restore past the end pads the oids in between with destroyed
+  // placeholders, across a directory chunk boundary; a later restore may
+  // fill a pad, but not a live oid.
+  const Oid far = ObjectStore::kChunkSize + 5;
+  ASSERT_TRUE(store.RestoreAtomic(far, num, Value(7)).ok());
+  EXPECT_EQ(store.num_objects(), far + 1);
+  EXPECT_EQ(store.Get(far).ValueOrDie().AsInt(), 7);
+  EXPECT_TRUE(store.TypeOf(far - 1).status().IsNotFound());
+  EXPECT_TRUE(store.TypeOf(ObjectStore::kChunkSize).status().IsNotFound());
+  ASSERT_TRUE(store.RestoreAtomic(far - 1, num, Value(6)).ok());
+  EXPECT_EQ(store.Get(far - 1).ValueOrDie().AsInt(), 6);
+  EXPECT_TRUE(store.RestoreAtomic(far, num, Value(8)).IsAlreadyExists());
+  EXPECT_EQ(store.Get(far).ValueOrDie().AsInt(), 7);
+  EXPECT_TRUE(store.RestoreAtomic(ObjectStore::kMaxObjects, num, Value(1))
+                  .IsOutOfSpace());
+  // Creates continue after the restored end.
+  EXPECT_EQ(store.CreateAtomic(num, Value(9)).ValueOrDie(), far + 1);
+}
+
+TEST_F(ObjectStoreTest, LookupsRaceCreatesAndDestroys) {
+  // Lookups take no lock. While one thread creates atoms across several
+  // directory chunks and destroys every third, readers look up oids up to
+  // the last one published: each lookup finds the object with its own type
+  // and value, or reports it destroyed.
+  constexpr int kCreates = 3 * static_cast<int>(ObjectStore::kChunkSize) + 17;
+  constexpr int kReaders = 2;
+  const Oid first = store.num_objects();
+  std::atomic<Oid> last{first - 1};
+  std::atomic<bool> done{false};
+  std::atomic<int> wrong{0};
+  std::atomic<uint64_t> found{0};
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r]() {
+      started.fetch_add(1);
+      uint32_t x = 99u + static_cast<uint32_t>(r);
+      // Keep looking for a while after the last create, so every reader
+      // sees the whole directory at least once.
+      for (int after = 0; after < 1000;) {
+        if (done.load(std::memory_order_acquire)) ++after;
+        const Oid hi = last.load(std::memory_order_acquire);
+        if (hi < first) continue;
+        x = x * 1103515245u + 12345u;
+        const Oid oid = first + (x >> 8) % (hi - first + 1);
+        const auto type = store.TypeOf(oid);
+        const auto value = store.Get(oid);
+        if (type.ok() && type.ValueOrDie() != num) wrong.fetch_add(1);
+        if (!type.ok() && !type.status().IsNotFound()) wrong.fetch_add(1);
+        if (value.ok()) {
+          found.fetch_add(1);
+          if (value.ValueOrDie().AsInt() != static_cast<int64_t>(oid - first)) {
+            wrong.fetch_add(1);
+          }
+        } else if (!value.status().IsNotFound()) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (started.load() != kReaders) std::this_thread::yield();
+  for (int i = 0; i < kCreates; ++i) {
+    const Oid oid = store.CreateAtomic(num, Value(int64_t{i})).ValueOrDie();
+    EXPECT_EQ(oid, first + static_cast<Oid>(i));
+    last.store(oid, std::memory_order_release);
+    if (i % 3 == 0) {
+      EXPECT_TRUE(store.Destroy(oid).ok());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(found.load(), 0u);
+  EXPECT_EQ(store.num_objects(), first + kCreates);
+  EXPECT_TRUE(store.Get(first).status().IsNotFound());
+  EXPECT_EQ(store.Get(first + 1).ValueOrDie().AsInt(), 1);
 }
 
 }  // namespace

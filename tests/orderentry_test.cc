@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "app/orderentry/order_entry.h"
@@ -119,6 +120,67 @@ TEST_F(OrderEntryTest, SetSizeUnderLockingWaitsForConcurrentInsert) {
   });
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.ValueOrDie().AsInt(), 5);
+}
+
+// T1 sizes an item's Orders set, lets a NewOrder block on that Size lock,
+// then accesses the set again with `repeat`. The NewOrder waits for T1's
+// own lock, so T1 must not queue behind it (FCFS, paper footnote 5): that
+// would be a wait cycle, broken by aborting the NewOrder. Returns the
+// repeat's status.
+Status RepeatWhileNewOrderWaits(
+    Database* db, Oid item,
+    const std::function<Status(TxnCtx&, Oid orders)>& repeat) {
+  const Oid orders = db->store()->Component(item, "Orders").ValueOrDie();
+  std::thread inserter;
+  const uint64_t blocked_before = db->locks()->stats().blocked_acquires;
+  uint64_t blocked_at_repeat = 0;
+  Status repeated;
+  auto r = db->RunTransactionOnce("T1", [&](TxnCtx& ctx) -> Result<Value> {
+    SEMCC_RETURN_NOT_OK(ctx.SetSize(orders).status());
+    inserter = std::thread([&] {
+      auto tn = db->RunTransaction("TN", TN_EnterOrder(item, 77, 5));
+      EXPECT_TRUE(tn.ok()) << tn.status().ToString();
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (db->locks()->stats().blocked_acquires == blocked_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    blocked_at_repeat = db->locks()->stats().blocked_acquires;
+    EXPECT_EQ(blocked_at_repeat, blocked_before + 1)
+        << "the NewOrder did not wait for T1's Size lock";
+    repeated = repeat(ctx, orders);
+    // Granted without waiting: the repeat added no blocked acquire.
+    EXPECT_EQ(db->locks()->stats().blocked_acquires, blocked_at_repeat);
+    return Value();
+  });
+  if (inserter.joinable()) inserter.join();
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  const DatabaseStats stats = db->Stats();
+  EXPECT_EQ(stats.locks.deadlocks, 0u);
+  EXPECT_EQ(stats.txns.aborts, 0u);
+  EXPECT_EQ(stats.txns.retries, 0u);
+  EXPECT_EQ(stats.locks.blocked_acquires, blocked_at_repeat);
+  return repeated;
+}
+
+TEST_F(OrderEntryTest, RepeatedSizeDoesNotQueueBehindItsOwnWaiter) {
+  const Status st = RepeatWhileNewOrderWaits(
+      &db, data.item_oids[0],
+      [](TxnCtx& ctx, Oid orders) { return ctx.SetSize(orders).status(); });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(FindOrder(&db, data.item_oids[0], 5).ok(), true);
+}
+
+TEST_F(OrderEntryTest, ConflictingScanDoesNotQueueBehindItsOwnWaiter) {
+  // The repeat is a different method, which conflicts with the waiting
+  // NewOrder as the Size lock does.
+  const Status st = RepeatWhileNewOrderWaits(
+      &db, data.item_oids[0],
+      [](TxnCtx& ctx, Oid orders) { return ctx.SetScan(orders).status(); });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(FindOrder(&db, data.item_oids[0], 5).ok(), true);
 }
 
 TEST_F(OrderEntryTest, ShipOrderUpdatesQohAndStatus) {

@@ -301,16 +301,16 @@ uint64_t DecodeCounter(std::string_view record) {
   return v;
 }
 
-TEST(BufferPool, ConcurrentDirtyWritesSurviveEviction) {
-  // Victims are chosen and written back while other threads pin, update and
-  // unpin pages: every increment must reach the disk image. Each page holds
-  // one fixed-width counter per thread, so every Update stays in place.
+// Victims are chosen and written back while other threads pin, update and
+// unpin pages: every increment must reach the disk image. Each page holds
+// one fixed-width counter per thread, so every Update stays in place, and
+// its header holds its id, so a stale frame shows as a wrong id.
+void ConcurrentWritesSurviveEviction(size_t frames, int pages, int rounds) {
   DiskManager disk;
-  constexpr int kPages = 32;
   constexpr int kThreads = 4;
-  BufferPool pool(8, &disk);
+  BufferPool pool(frames, &disk);
   std::vector<PageId> ids;
-  for (int i = 0; i < kPages; ++i) {
+  for (int i = 0; i < pages; ++i) {
     auto g = pool.NewPage().ValueOrDie();
     for (int t = 0; t < kThreads; ++t) {
       ASSERT_EQ(g->Insert(EncodeCounter(0)).ValueOrDie(),
@@ -318,10 +318,10 @@ TEST(BufferPool, ConcurrentDirtyWritesSurviveEviction) {
     }
     ids.push_back(g->page_id());
   }
-  const int rounds = 100 * test_env::IterCount("SEMCC_STRESS_ITERS", 200);
   // increments[t][p]: how often thread t bumped its counter on page p.
   std::vector<std::vector<uint64_t>> increments(
-      kThreads, std::vector<uint64_t>(kPages, 0));
+      kThreads, std::vector<uint64_t>(pages, 0));
+  std::atomic<int> stale{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
@@ -329,11 +329,12 @@ TEST(BufferPool, ConcurrentDirtyWritesSurviveEviction) {
       uint32_t x = 777u + static_cast<uint32_t>(t);
       for (int i = 0; i < rounds; ++i) {
         x = x * 1103515245u + 12345u;
-        const int p = static_cast<int>((x >> 16) % kPages);
+        const int p = static_cast<int>((x >> 16) % pages);
         auto fetched = pool.FetchPage(ids[p]);
         ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
         PageGuard g = std::move(fetched).ValueOrDie();
         g->WLatch();
+        if (g->page_id() != ids[p]) stale.fetch_add(1);
         const uint64_t v = DecodeCounter(g->Read(slot).ValueOrDie());
         const Status st = g->Update(slot, EncodeCounter(v + 1));
         g->WUnlatch();
@@ -344,8 +345,9 @@ TEST(BufferPool, ConcurrentDirtyWritesSurviveEviction) {
     });
   }
   for (auto& th : threads) th.join();
+  EXPECT_EQ(stale.load(), 0);
   ASSERT_TRUE(pool.FlushAll().ok());
-  for (int p = 0; p < kPages; ++p) {
+  for (int p = 0; p < pages; ++p) {
     Page image;
     ASSERT_TRUE(disk.ReadPage(ids[p], image.data()).ok());
     for (int t = 0; t < kThreads; ++t) {
@@ -354,6 +356,64 @@ TEST(BufferPool, ConcurrentDirtyWritesSurviveEviction) {
           << "page " << p << " thread " << t;
     }
   }
+}
+
+TEST(BufferPool, ConcurrentDirtyWritesSurviveEviction) {
+  // One partition: 8 frames over 32 pages.
+  ConcurrentWritesSurviveEviction(
+      8, 32, 100 * test_env::IterCount("SEMCC_STRESS_ITERS", 200));
+}
+
+TEST(BufferPool, ConcurrentWritesAcrossPartitionsSurviveEviction) {
+  // Four partitions of 64 frames over 512 pages, so every partition evicts
+  // while other threads use the others.
+  ASSERT_EQ(BufferPool::PartitionCount(256), 4u);
+  ConcurrentWritesSurviveEviction(
+      256, 512, 50 * test_env::IterCount("SEMCC_STRESS_ITERS", 200));
+}
+
+TEST(BufferPool, PartitionCountFollowsPoolSize) {
+  // A power of two up to 16, with at least 64 frames per partition; pools
+  // under 128 frames keep one, so small-pool eviction counts are exact.
+  EXPECT_EQ(BufferPool::PartitionCount(1), 1u);
+  EXPECT_EQ(BufferPool::PartitionCount(4), 1u);
+  EXPECT_EQ(BufferPool::PartitionCount(127), 1u);
+  EXPECT_EQ(BufferPool::PartitionCount(128), 2u);
+  EXPECT_EQ(BufferPool::PartitionCount(256), 4u);
+  EXPECT_EQ(BufferPool::PartitionCount(1000), 8u);
+  EXPECT_EQ(BufferPool::PartitionCount(4096), 16u);
+  EXPECT_EQ(BufferPool::PartitionCount(1 << 20), 16u);
+  DiskManager disk;
+  BufferPool pool(300, &disk);
+  EXPECT_EQ(pool.num_partitions(), 4u);
+  EXPECT_EQ(pool.pool_size(), 300u);
+}
+
+TEST(BufferPool, PartitionedPoolServesMorePagesThanFrames) {
+  // Four times as many pages as frames, spread over the partitions: every
+  // page reads back what was written to it, and each fetch counts once as
+  // a hit or a miss.
+  DiskManager disk;
+  BufferPool pool(256, &disk);
+  ASSERT_GT(pool.num_partitions(), 1u);
+  constexpr int kPages = 1024;
+  std::vector<PageId> ids;
+  for (int i = 0; i < kPages; ++i) {
+    auto g = pool.NewPage().ValueOrDie();
+    ASSERT_EQ(g->Insert(EncodeCounter(static_cast<uint64_t>(i))).ValueOrDie(),
+              0u);
+    ids.push_back(g->page_id());
+  }
+  const uint64_t before = pool.hits() + pool.misses();
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kPages; ++i) {
+      auto g = pool.FetchPage(ids[i]).ValueOrDie();
+      EXPECT_EQ(DecodeCounter(g->Read(0).ValueOrDie()),
+                static_cast<uint64_t>(i));
+    }
+  }
+  EXPECT_EQ(pool.hits() + pool.misses() - before, 2u * kPages);
+  EXPECT_GE(pool.misses(), static_cast<uint64_t>(kPages));
 }
 
 // --- RecordManager ------------------------------------------------------------
