@@ -118,6 +118,33 @@ void BM_AcquireWithManyHolders(benchmark::State& state) {
 }
 BENCHMARK(BM_AcquireWithManyHolders)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
 
+/// Acquire and release a one-entry tree while n other trees hold locks on
+/// other objects of the same shard. The release walks only the tree's own
+/// entries, so its cost should not grow with n.
+void BM_ReleaseTreeAmongForeignEntries(benchmark::State& state) {
+  const auto foreign = static_cast<size_t>(state.range(0));
+  ProtocolOptions opts;
+  LockManager lm(opts, Registry());
+  const uint32_t shard = lm.ShardIndexOf(LockTarget::ForObject(7));
+  std::vector<std::unique_ptr<TxnTree>> trees;
+  for (Oid oid = 1000; trees.size() < foreign; ++oid) {
+    if (lm.ShardIndexOf(LockTarget::ForObject(oid)) != shard) continue;
+    trees.push_back(
+        std::make_unique<TxnTree>(TxnTree::NextId(), "F", kDatabaseOid, 0));
+    SubTxn* n = trees.back()->NewNode(trees.back()->root(), oid, kT, "Mb", {});
+    (void)lm.Acquire(n, LockTarget::ForObject(oid), true);
+  }
+  for (auto _ : state) {
+    TxnTree tree(TxnTree::NextId(), "T", kDatabaseOid, 0);
+    SubTxn* n = tree.NewNode(tree.root(), 7, kT, "Mb", {});
+    benchmark::DoNotOptimize(lm.Acquire(n, LockTarget::ForObject(7), true));
+    lm.ReleaseTree(tree.root());
+  }
+  for (auto& t : trees) lm.ReleaseTree(t->root());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReleaseTreeAmongForeignEntries)->Arg(0)->Arg(64)->Arg(1024);
+
 void BM_CommuteStaticLookup(benchmark::State& state) {
   CompatibilityRegistry* reg = Registry();
   for (auto _ : state) {

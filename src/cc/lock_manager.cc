@@ -49,6 +49,109 @@ std::string LockTarget::ToString() const {
   return buf;
 }
 
+// --- queues and the per-shard queue table ------------------------------
+
+void LockQueue::Append(LockEntry* e) {
+  e->queue = this;
+  e->prev = tail;
+  e->next = nullptr;
+  if (tail == nullptr) {
+    head = e;
+  } else {
+    tail->next = e;
+  }
+  tail = e;
+}
+
+void LockQueue::Unlink(LockEntry* e) {
+  if (e->prev == nullptr) {
+    head = e->next;
+  } else {
+    e->prev->next = e->next;
+  }
+  if (e->next == nullptr) {
+    tail = e->prev;
+  } else {
+    e->next->prev = e->prev;
+  }
+  e->queue = nullptr;
+  e->prev = nullptr;
+  e->next = nullptr;
+}
+
+LockQueueTable::LockQueueTable() : slots_(kInitialSlots) {}
+
+LockQueue* LockQueueTable::Find(const LockTarget& target,
+                                uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(hash);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.queue == nullptr) return nullptr;
+    if (s.hash == hash && s.queue->target == target) return s.queue;
+  }
+}
+
+size_t LockQueueTable::FreeSlotFor(uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(hash);
+  while (slots_[i].queue != nullptr) i = (i + 1) & mask;
+  return i;
+}
+
+LockQueue* LockQueueTable::FindOrInsert(const LockTarget& target,
+                                        uint64_t hash) {
+  if (LockQueue* q = Find(target, hash)) return q;
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  if (free_ == nullptr) {
+    blocks_.push_back(std::make_unique<LockQueue[]>(kBlockQueues));
+    LockQueue* block = blocks_.back().get();
+    for (size_t i = 0; i < kBlockQueues; ++i) {
+      block[i].next_free = free_;
+      free_ = &block[i];
+    }
+  }
+  LockQueue* q = free_;
+  free_ = q->next_free;
+  q->next_free = nullptr;
+  q->target = target;
+  q->hash = hash;
+  slots_[FreeSlotFor(hash)] = Slot{hash, q};
+  ++size_;
+  return q;
+}
+
+void LockQueueTable::Erase(LockQueue* q) {
+  SEMCC_DCHECK(q->empty());
+  const size_t mask = slots_.size() - 1;
+  size_t hole = Home(q->hash);
+  while (slots_[hole].queue != q) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later slot of the probe run whose
+  // home lies cyclically at or before the hole back into it, so every
+  // remaining key stays reachable from its home without tombstones.
+  for (size_t j = (hole + 1) & mask; slots_[j].queue != nullptr;
+       j = (j + 1) & mask) {
+    const size_t home = Home(slots_[j].hash);
+    const size_t dist_home = (j - home) & mask;
+    const size_t dist_hole = (j - hole) & mask;
+    if (dist_home >= dist_hole) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+  q->next_free = free_;
+  free_ = q;
+}
+
+void LockQueueTable::Grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  for (const Slot& s : old) {
+    if (s.queue != nullptr) slots_[FreeSlotFor(s.hash)] = s;
+  }
+}
+
 std::string LockStats::ToString() const {
   char buf[448];
   std::snprintf(
@@ -110,6 +213,7 @@ LockManager::LockManager(const ProtocolOptions& options,
     shards_.push_back(std::make_unique<LockShard>());
   }
   shard_mask_ = static_cast<uint32_t>(pow2 - 1);
+  while ((size_t{1} << shard_bits_) < pow2) ++shard_bits_;
 }
 
 LockManager::~LockManager() = default;
@@ -303,7 +407,8 @@ void LockManager::CollectBlockers(const LockShard& shard, const LockQueue& q,
                                   ScanResult* out) {
   (void)shard;  // capability-only parameter (REQUIRES(shard.mu))
   out->Clear();
-  for (const LockEntry& e : q.entries) {
+  for (const LockEntry* ep = q.head; ep != nullptr; ep = ep->next) {
+    const LockEntry& e = *ep;
     if (e.acquirer == t) continue;
     // Test against held locks and earlier-queued requests (FCFS, paper
     // footnote 5).
@@ -381,10 +486,10 @@ bool LockManager::FcfsTests(const LockQueue& q, const LockEntry& e,
   // The same holds for a request of a tree that already holds a lock the
   // waiter waits for. The waiter holds nothing, and every granted entry is
   // still tested, so passing it cannot grant a conflicting lock.
-  for (const LockEntry& g : q.entries) {
-    if (!g.granted || !g.acquirer->SameRootAs(t)) continue;
+  for (const LockEntry* g = q.head; g != nullptr; g = g->next) {
+    if (!g->granted || !g->acquirer->SameRootAs(t)) continue;
     ConflictOutcome why = ConflictOutcome::kNoLock;
-    if (TestConflict(g, e.acquirer, e.is_write, &why) != nullptr) return false;
+    if (TestConflict(*g, e.acquirer, e.is_write, &why) != nullptr) return false;
   }
   return true;
 }
@@ -463,7 +568,8 @@ void LockManager::CheckGrantInvariants(const LockShard& shard,
   // Independently re-derive the grant decision: every other granted (or
   // earlier-queued, FCFS) entry must pass test-conflict against `t`. A
   // non-nil verdict here means the scan granted a conflicting request.
-  for (const LockEntry& e : q.entries) {
+  for (const LockEntry* ep = q.head; ep != nullptr; ep = ep->next) {
+    const LockEntry& e = *ep;
     if (e.acquirer == t) continue;
     if (!FcfsTests(q, e, my_seq, t)) continue;
     ConflictOutcome why = ConflictOutcome::kNoLock;
@@ -483,7 +589,8 @@ void LockManager::CheckGrantInvariants(const LockShard& shard,
 void LockManager::CheckQueueInvariants(const LockShard& shard,
                                        const LockQueue& q) {
   (void)shard;
-  for (const LockEntry& e : q.entries) {
+  for (const LockEntry* ep = q.head; ep != nullptr; ep = ep->next) {
+    const LockEntry& e = *ep;
     // A *waiting* entry's acquirer is by construction parked inside
     // Acquire, so it cannot have completed; a completed subtransaction
     // showing up un-granted means an abandon path failed to withdraw the
@@ -500,14 +607,16 @@ void LockManager::CheckQueueInvariants(const LockShard& shard,
 
 void LockManager::CheckNoLeakedLocks(const LockShard& shard, SubTxn* root) {
   uint64_t leaked = 0;
-  for (const auto& [target, q] : shard.table) {
-    for (const LockEntry& e : q.entries) {
-      if (e.acquirer->root() == root) {
+  for (size_t i = 0; i < shard.table.capacity(); ++i) {
+    const LockQueue* q = shard.table.queue_at(i);
+    if (q == nullptr) continue;
+    for (const LockEntry* e = q->head; e != nullptr; e = e->next) {
+      if (e->acquirer->root() == root) {
         ++leaked;
-        InvariantViolation("leak", "entry " + e.acquirer->method() +
+        InvariantViolation("leak", "entry " + e->acquirer->method() +
                                        " (txn " +
-                                       std::to_string(e.acquirer->id()) +
-                                       ") on " + target.ToString() +
+                                       std::to_string(e->acquirer->id()) +
+                                       ") on " + q->target.ToString() +
                                        " survived ReleaseTree of root " +
                                        std::to_string(root->id()));
       }
@@ -604,9 +713,10 @@ uint64_t LockManager::CheckInvariantsNow() SEMCC_NO_THREAD_SAFETY_ANALYSIS {
     for (auto& sp : shards_) {
       LockShard& shard = *sp;
       shard.mu.AssertHeld();
-      for (const auto& [target, q] : shard.table) {
-        (void)target;
-        CheckQueueInvariants(shard, q);
+      for (size_t s = 0; s < shard.table.capacity(); ++s) {
+        if (const LockQueue* q = shard.table.queue_at(s)) {
+          CheckQueueInvariants(shard, *q);
+        }
       }
     }
     CheckWaitGraphAcyclic();
@@ -617,32 +727,74 @@ uint64_t LockManager::CheckInvariantsNow() SEMCC_NO_THREAD_SAFETY_ANALYSIS {
 
 // --- acquire / release --------------------------------------------------
 
-namespace {
-/// True when `SubTxn::lock_shards()` says shard `idx` may hold entries of
-/// the tree. With more than 64 shards, bits alias (idx mod 64) and the test
-/// is conservative — never a false negative.
-inline bool MaskHasShard(uint64_t mask, size_t idx) {
-  return ((mask >> (idx & 63)) & 1) != 0;
-}
-}  // namespace
-
-std::list<LockEntry>::iterator LockManager::AppendEntry(
-    LockShard& shard, LockQueue& q, SubTxn* t, bool is_write, bool granted,
-    uint64_t seq) {
+void LockManager::AppendEntry(LockShard& shard, uint32_t shard_idx,
+                              LockQueue& q, SubTxn* t, bool is_write,
+                              bool granted, uint64_t seq) {
   if (!granted) ++shard.waiting;
-  q.entries.push_back(LockEntry{t, t, t->method_id(), is_write, granted, seq});
-  return std::prev(q.entries.end());
+  LockEntry& e = t->lock_entry_;
+  e.owner = t;
+  e.is_write = is_write;
+  e.granted = granted;
+  e.shard = shard_idx;
+  e.seq = seq;
+  q.Append(&e);
+  if (!t->on_held_list_) {
+    SubTxn* root = t->root();
+    t->next_held_ = root->held_;
+    root->held_ = t;
+    t->on_held_list_ = true;
+  }
 }
 
-void LockManager::RemoveWaiter(LockShard& shard, const LockTarget& target,
-                               LockQueue& q,
-                               std::list<LockEntry>::iterator my_it) {
-  q.entries.erase(my_it);
-  --shard.waiting;
-  if (q.entries.empty()) shard.table.erase(target);
+void LockManager::UnlinkEntry(LockShard& shard, uint32_t shard_idx,
+                              LockEntry* e) {
+  if (e->granted) {
+    counters_.Inc(shard_idx, kCtrReleasedEntries);
+  } else {
+    --shard.waiting;
+  }
+  LockQueue* q = e->queue;
+  q->Unlink(e);
+  if (q->empty()) shard.table.Erase(q);
+}
+
+void LockManager::RemoveWaiter(LockShard& shard, SubTxn* t) {
+  UnlinkEntry(shard, t->lock_entry_.shard, &t->lock_entry_);
   // Our waiting entry may have been blocking later-queued requests (FCFS);
   // wake this shard so they re-scan.
   shard.cv.NotifyAll();
+}
+
+void LockManager::ReleaseChain(LockShard& shard, uint32_t shard_idx,
+                               SubTxn* chain) {
+  while (chain != nullptr) {
+    SubTxn* next = chain->next_held_;
+    chain->next_held_ = nullptr;
+    UnlinkEntry(shard, shard_idx, &chain->lock_entry_);
+    chain = next;
+  }
+}
+
+bool LockManager::Picks(CompletionOp op, const SubTxn* t, const LockEntry& e) {
+  if (e.queue == nullptr || !e.granted) return false;
+  return op == CompletionOp::kInherit ? e.owner == t
+                                      : t->IsAncestorOf(e.acquirer);
+}
+
+bool LockManager::ApplyCompletionOp(LockShard& shard, uint32_t shard_idx,
+                                    SubTxn* t, CompletionOp op) {
+  bool released = false;
+  for (SubTxn* n = t->root()->held_; n != nullptr; n = n->next_held_) {
+    LockEntry& e = n->lock_entry_;
+    if (e.shard != shard_idx || !Picks(op, t, e)) continue;
+    if (op == CompletionOp::kInherit) {
+      e.owner = t->parent();
+    } else {
+      UnlinkEntry(shard, shard_idx, &e);
+      released = true;
+    }
+  }
+  return released;
 }
 
 void LockManager::EraseWaitRecord(SubTxn* t) {
@@ -657,17 +809,21 @@ void LockManager::EraseWaitRecordLocked(SubTxn* t) {
 Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
                             bool is_write) {
   const bool tracing = trace::Active();
-  const uint32_t shard_idx = ShardIndexOf(target);
+  const uint64_t hash = LockTargetHash{}(target);
+  const uint32_t shard_idx = static_cast<uint32_t>(hash) & shard_mask_;
   counters_.Inc(shard_idx, kCtrAcquires);
   if (t->root()->abort_requested() && !t->compensation()) {
     // Derived before any entry exists, so there is nothing to withdraw.
     return Status::Aborted("transaction abort requested while locking " +
                            target.ToString());
   }
-  t->root()->NoteLockShard(shard_idx);
+  SEMCC_CHECK(t->lock_entry_.queue == nullptr)
+      << "an action requests at most one lock: " << t->method();
   LockShard& shard = *shards_[shard_idx];
   MutexLock lock(shard.mu);
-  LockQueue& q = shard.table[target];
+  // `q` stays valid across the waits below: our entry keeps it non-empty,
+  // and a queue keeps its address until it is empty and erased.
+  LockQueue& q = *shard.table.FindOrInsert(target, hash >> shard_bits_);
 
   // Pre-append scan at the next (unconsumed) seq: no existing entry can
   // have a larger one, so "blockers empty" here means the WHOLE queue —
@@ -678,7 +834,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
   CollectBlockers(shard, q, my_seq, t, is_write, shard_idx,
                   /*count_stats=*/true, &scan);
   if (scan.blockers.empty()) {
-    AppendEntry(shard, q, t, is_write, /*granted=*/true, my_seq);
+    AppendEntry(shard, shard_idx, q, t, is_write, /*granted=*/true, my_seq);
     counters_.Inc(shard_idx, kCtrGrantedEntries);
     t->set_grant_seq(NextSeq());
     if (tracing) {
@@ -696,7 +852,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
   }
 
   // Blocked: enter the queue and wait.
-  auto my_it = AppendEntry(shard, q, t, is_write, /*granted=*/false, my_seq);
+  AppendEntry(shard, shard_idx, q, t, is_write, /*granted=*/false, my_seq);
   if (tracing) {
     EmitLockEvent(trace::EventKind::kBlock, t, target, shard_idx,
                   scan.block_why, scan.first_blocker, 0,
@@ -708,7 +864,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
   std::chrono::steady_clock::time_point deadline{};
   while (true) {
     if (t->root()->abort_requested() && !t->compensation()) {
-      RemoveWaiter(shard, target, q, my_it);
+      RemoveWaiter(shard, t);
       EraseWaitRecord(t);
       if (tracing) {
         EmitLockEvent(trace::EventKind::kAbortedWait, t, target, shard_idx,
@@ -720,7 +876,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
     CollectBlockers(shard, q, my_seq, t, is_write, shard_idx,
                     /*count_stats=*/false, &scan);
     if (scan.blockers.empty()) {
-      my_it->granted = true;
+      t->lock_entry_.granted = true;
       --shard.waiting;
       counters_.Inc(shard_idx, kCtrGrantedEntries);
       t->set_grant_seq(NextSeq());
@@ -816,7 +972,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
       }
     }
     if (self_victim) {
-      RemoveWaiter(shard, target, q, my_it);
+      RemoveWaiter(shard, t);
       if (tracing) {
         EmitLockEvent(trace::EventKind::kDeadlockVictim, t, target, shard_idx,
                       ConflictOutcome::kNoLock, nullptr, 0, 0);
@@ -826,9 +982,9 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
     if (wake.any()) {
       // Wake the victim's waiters. Our own shard can be notified while its
       // mutex is held; foreign shards require dropping it first (a thread
-      // never holds two shard mutexes). q and my_it survive the unlocked
+      // never holds two shard mutexes). q and our entry survive the unlocked
       // gap: our queue entry keeps the queue non-empty so it cannot be
-      // erased, and list iterators are stable.
+      // erased, and the entry lives in our own node.
       if (wake.test(shard_idx)) {
         shard.cv.NotifyAll();
         wake.reset(shard_idx);
@@ -843,7 +999,7 @@ Status LockManager::Acquire(SubTxn* t, const LockTarget& target,
     if (revalidate) continue;
     if (std::chrono::steady_clock::now() >= deadline) {
       counters_.Inc(shard_idx, kCtrTimeouts);
-      RemoveWaiter(shard, target, q, my_it);
+      RemoveWaiter(shard, t);
       EraseWaitRecord(t);
       if (tracing) {
         EmitLockEvent(trace::EventKind::kLockTimeout, t, target, shard_idx,
@@ -865,48 +1021,34 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
   // Only two values act on completion. Under the others a completed
   // subtransaction's locks stay until top-level commit, as retained locks
   // (semantic) or as root-owned strict locks (flat 2PL).
-  if (options_.protocol == Protocol::kSemanticNoRetainedLocks) {
-    // §3 protocol: "the locks of the actions in a subtransaction are
-    // released upon the completion of the subtransaction" — drop every lock
-    // owned by a proper descendant of t; t's own lock remains until t's
-    // parent completes (only the root's semantic locks survive to the end
-    // of the transaction). Shards are swept one at a time (a thread never
-    // holds two shard mutexes); shards the tree never touched are skipped
-    // via the root's shard mask.
-    const uint64_t mask = t->root()->lock_shards();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (!MaskHasShard(mask, i)) continue;
-      LockShard& shard = *shards_[i];
-      MutexLock l(shard.mu);
-      bool changed = false;
-      for (auto it = shard.table.begin(); it != shard.table.end();) {
-        LockQueue& q = it->second;
-        for (auto e = q.entries.begin(); e != q.entries.end();) {
-          if (e->granted && t->IsAncestorOf(e->acquirer)) {
-            counters_.Inc(i, kCtrReleasedEntries);
-            e = q.entries.erase(e);
-            changed = true;
-          } else {
-            ++e;
-          }
-        }
-        it = q.entries.empty() ? shard.table.erase(it) : std::next(it);
-      }
-      if (changed && shard.waiting > 0) wake.set(i);
+  //  * §3 protocol: "the locks of the actions in a subtransaction are
+  //    released upon the completion of the subtransaction" — drop every lock
+  //    of a proper descendant of t; t's own lock remains until t's parent
+  //    completes (only the root's semantic locks survive to the end of the
+  //    transaction).
+  //  * Closed nesting: anti-inheritance, the parent adopts the completed
+  //    child's locks.
+  // Both touch only entries of t's own tree: one pass over the root's held
+  // list finds the shards that host a picked entry, then each of those is
+  // locked once (a thread never holds two shard mutexes).
+  const Protocol protocol = options_.protocol;
+  if (protocol == Protocol::kSemanticNoRetainedLocks ||
+      (protocol == Protocol::kClosedNested && t->parent() != nullptr)) {
+    const CompletionOp op = protocol == Protocol::kClosedNested
+                                ? CompletionOp::kInherit
+                                : CompletionOp::kReleaseDescendants;
+    ShardSet touched;
+    for (SubTxn* n = t->root()->held_; n != nullptr; n = n->next_held_) {
+      if (Picks(op, t, n->lock_entry_)) touched.set(n->lock_entry_.shard);
     }
-  } else if (options_.protocol == Protocol::kClosedNested &&
-             t->parent() != nullptr) {
-    // Anti-inheritance: the parent adopts the completed child's locks.
-    const uint64_t mask = t->root()->lock_shards();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (!MaskHasShard(mask, i)) continue;
+    for (size_t i = 0; i < shards_.size() && touched.any(); ++i) {
+      if (!touched.test(i)) continue;
+      touched.reset(i);
       LockShard& shard = *shards_[i];
       MutexLock l(shard.mu);
-      for (auto& [target, q] : shard.table) {
-        (void)target;
-        for (LockEntry& e : q.entries) {
-          if (e.owner == t && e.granted) e.owner = t->parent();
-        }
+      const uint32_t idx = static_cast<uint32_t>(i);
+      if (ApplyCompletionOp(shard, idx, t, op) && shard.waiting > 0) {
+        wake.set(i);
       }
     }
   }
@@ -915,9 +1057,10 @@ void LockManager::OnSubTxnCompleted(SubTxn* t) {
     for (auto& sp : shards_) {
       LockShard& shard = *sp;
       MutexLock l(shard.mu);
-      for (const auto& [target, q] : shard.table) {
-        (void)target;
-        CheckQueueInvariants(shard, q);
+      for (size_t s = 0; s < shard.table.capacity(); ++s) {
+        if (const LockQueue* q = shard.table.queue_at(s)) {
+          CheckQueueInvariants(shard, *q);
+        }
       }
     }
   }
@@ -957,34 +1100,38 @@ void LockManager::ReleaseTree(SubTxn* root) {
                   ConflictOutcome::kNoLock, nullptr, 0, 0);
   }
   ShardSet wake;
-  // Skip shards the tree never touched — except under debug checks, where
-  // the full sweep lets CheckNoLeakedLocks catch a shard-mask bug.
-  const uint64_t mask = root->lock_shards();
-  const bool sweep_all = SEMCC_PREDICT_FALSE(options_.debug_lock_checks);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!sweep_all && !MaskHasShard(mask, i)) continue;
+  // Walk only the tree's own entries: bucket the held list by shard (its
+  // links are reused; the list is consumed), then lock each shard that
+  // hosts a linked entry once. Nodes whose entries were withdrawn or
+  // released on completion are dropped from the list here.
+  SubTxn* by_shard[kMaxShards] = {};
+  ShardSet touched;
+  for (SubTxn* n = root->held_; n != nullptr;) {
+    SubTxn* next = n->next_held_;
+    n->on_held_list_ = false;
+    n->next_held_ = nullptr;
+    if (n->lock_entry_.queue != nullptr) {
+      const uint32_t s = n->lock_entry_.shard;
+      n->next_held_ = by_shard[s];
+      by_shard[s] = n;
+      touched.set(s);
+    }
+    n = next;
+  }
+  root->held_ = nullptr;
+  for (size_t i = 0; i < shards_.size() && touched.any(); ++i) {
+    if (!touched.test(i)) continue;
+    touched.reset(i);
     LockShard& shard = *shards_[i];
     MutexLock l(shard.mu);
-    bool changed = false;
-    for (auto it = shard.table.begin(); it != shard.table.end();) {
-      LockQueue& q = it->second;
-      for (auto e = q.entries.begin(); e != q.entries.end();) {
-        if (e->acquirer->root() == root) {
-          if (e->granted) {
-            counters_.Inc(i, kCtrReleasedEntries);
-          } else {
-            --shard.waiting;
-          }
-          e = q.entries.erase(e);
-          changed = true;
-        } else {
-          ++e;
-        }
-      }
-      it = q.entries.empty() ? shard.table.erase(it) : std::next(it);
-    }
-    if (changed && shard.waiting > 0) wake.set(i);
-    if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
+    ReleaseChain(shard, static_cast<uint32_t>(i), by_shard[i]);
+    if (shard.waiting > 0) wake.set(i);
+  }
+  // Debug checks sweep every shard for a leaked entry of the tree.
+  if (SEMCC_PREDICT_FALSE(options_.debug_lock_checks)) {
+    for (auto& sp : shards_) {
+      LockShard& shard = *sp;
+      MutexLock l(shard.mu);
       inv_stats_.checks.fetch_add(1, std::memory_order_relaxed);
       CheckNoLeakedLocks(shard, root);
     }
@@ -992,8 +1139,10 @@ void LockManager::ReleaseTree(SubTxn* root) {
   // Purge dangling blocker pointers into the departing tree; the blocked
   // threads re-derive their waits-for sets when they wake. A record that
   // names the tree was registered by a waiter that saw one of the tree's
-  // entries under its shard mutex, so before the sweep above took that
-  // mutex: a zero count here means no record names the tree.
+  // entries under its shard mutex. This thread unlinked that entry under
+  // the same mutex — in the walk above, or earlier when it withdrew a
+  // waiter or released on completion — so after the registration: a zero
+  // count here means no record names the tree.
   if (num_waits_.load(std::memory_order_acquire) != 0) {
     MutexLock g(graph_mu_);
     for (auto& [waiter, rec] : waits_) {
@@ -1034,12 +1183,13 @@ std::vector<LockManager::LockInfo> LockManager::LocksOn(
   LockShard& shard = ShardFor(target);
   MutexLock lock(shard.mu);
   std::vector<LockInfo> out;
-  auto it = shard.table.find(target);
-  if (it == shard.table.end()) return out;
-  for (const LockEntry& e : it->second.entries) {
-    out.push_back(LockInfo{e.acquirer->id(), e.acquirer->root()->id(),
-                           e.acquirer->method(), e.granted,
-                           e.acquirer->completed()});
+  const LockQueue* q =
+      shard.table.Find(target, LockTargetHash{}(target) >> shard_bits_);
+  if (q == nullptr) return out;
+  for (const LockEntry* e = q->head; e != nullptr; e = e->next) {
+    out.push_back(LockInfo{e->owner->id(), e->acquirer->root()->id(),
+                           e->acquirer->method(), e->granted,
+                           e->owner->completed()});
   }
   return out;
 }

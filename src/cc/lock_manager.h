@@ -46,12 +46,10 @@
 #include <bitset>
 #include <chrono>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -173,20 +171,71 @@ struct LockTargetHash {
   }
 };
 
-/// \brief One lock-table entry: one acquisition by one action.
-struct LockEntry {
-  SubTxn* acquirer;  ///< the action that requested the lock (mode source)
-  SubTxn* owner;     ///< current owner (differs from acquirer only after
-                     ///< closed-nested anti-inheritance)
-  MethodId method_id;  ///< acquirer->method_id(), cached for locality
-  bool is_write;
-  bool granted;
-  uint64_t seq;  ///< FCFS arrival order (per shard; never reused)
+/// \brief The entries on one target, linked through LockEntry::prev/next in
+/// arrival (FCFS) order. The entries live in their acquirers' SubTxns; the
+/// queue head comes from its shard's LockQueueTable and keeps its address
+/// while the queue is non-empty.
+struct LockQueue {
+  LockTarget target;
+  uint64_t hash = 0;  ///< the table hash it was inserted under
+  LockEntry* head = nullptr;
+  LockEntry* tail = nullptr;
+  LockQueue* next_free = nullptr;  ///< free-list link while unused
+
+  bool empty() const { return head == nullptr; }
+  /// Link `e` at the tail and point it at this queue.
+  void Append(LockEntry* e);
+  /// Unlink `e` (which must be in this queue) and mark it unlinked.
+  void Unlink(LockEntry* e);
 };
 
-/// \brief Per-target queue of lock entries.
-struct LockQueue {
-  std::list<LockEntry> entries;
+/// \brief One shard's map LockTarget → LockQueue*: open addressing over a
+/// power-of-two slot array, linear probing, backward-shift deletion.
+///
+/// Callers pass the hash; the lock manager passes the bits of
+/// LockTargetHash that the shard index does not use. Queue heads come from
+/// a free list of pooled heads and go back to it on Erase; the pool grows in
+/// blocks, and the slot array doubles before it gets more than half full,
+/// so once both have grown to a shard's working set a new target allocates
+/// nothing. Growth moves slots, never queues: a queue keeps its address
+/// until it is erased. Not thread-safe; the shard mutex guards it.
+class LockQueueTable {
+ public:
+  LockQueueTable();
+  SEMCC_DISALLOW_COPY_AND_ASSIGN(LockQueueTable);
+
+  /// The queue of `target`, or nullptr.
+  LockQueue* Find(const LockTarget& target, uint64_t hash) const;
+  /// The queue of `target`, inserting an empty one if there is none.
+  LockQueue* FindOrInsert(const LockTarget& target, uint64_t hash);
+  /// Remove `q` (a queue of this table, emptied by the caller) and return
+  /// its head to the free list.
+  void Erase(LockQueue* q);
+
+  size_t size() const { return size_; }
+  size_t capacity() const { return slots_.size(); }
+
+  /// The queue in slot `i` (< capacity()), or nullptr for an empty slot:
+  /// sweeps over every queue (debug checks, tests).
+  const LockQueue* queue_at(size_t i) const { return slots_[i].queue; }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    LockQueue* queue = nullptr;  ///< nullptr = empty slot
+  };
+  static constexpr size_t kInitialSlots = 16;
+  static constexpr size_t kBlockQueues = 32;
+
+  size_t Home(uint64_t hash) const { return hash & (slots_.size() - 1); }
+  /// First empty slot of the probe sequence of `hash`.
+  size_t FreeSlotFor(uint64_t hash) const;
+  void Grow();
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+  LockQueue* free_ = nullptr;
+  std::vector<std::unique_ptr<LockQueue[]>> blocks_;
 };
 
 /// \brief Why test-conflict produced its verdict (stats + scenario tests).
@@ -268,12 +317,13 @@ class LockManager {
 
   /// Figure 8, on completion of subtransaction t: convert/release per
   /// protocol and wake exactly the waiters whose waits-for sets contain t
-  /// (waits-for sets shrink on *completion*).
+  /// (waits-for sets shrink on *completion*). Runs on the thread running
+  /// t's tree, like every call that acquires or releases for that tree.
   void OnSubTxnCompleted(SubTxn* t);
 
   /// Top-level end ("release all locks"): drop every lock owned by the tree
-  /// rooted at `root` and wake affected waiters. Call before destroying the
-  /// tree.
+  /// rooted at `root` and wake affected waiters. Visits only the tree's own
+  /// entries. Call before destroying the tree.
   void ReleaseTree(SubTxn* root);
 
   /// Flag `root` for abort and wake its blocked actions so they return
@@ -320,9 +370,10 @@ class LockManager {
 
   /// Locks currently held/queued on `target` — introspection for tests.
   struct LockInfo {
-    TxnId owner_id;
+    TxnId owner_id;  ///< the entry's owner (a closed-nested ancestor after
+                     ///< anti-inheritance; otherwise the acquirer)
     TxnId root_id;
-    std::string method;
+    std::string method;  ///< the acquirer's method (the lock mode)
     bool granted;
     bool retained;  ///< owner completed but lock still present
   };
@@ -338,8 +389,7 @@ class LockManager {
   struct LockShard {
     mutable Mutex mu;
     CondVar cv;
-    std::unordered_map<LockTarget, LockQueue, LockTargetHash> table
-        SEMCC_GUARDED_BY(mu);
+    LockQueueTable table SEMCC_GUARDED_BY(mu);
     uint64_t next_entry_seq SEMCC_GUARDED_BY(mu) = 0;
     /// Waiting entries in `table`. Every thread parked on `cv` owns one, so
     /// a release that finds none here has nobody to wake.
@@ -427,18 +477,41 @@ class LockManager {
   bool FcfsTests(const LockQueue& q, const LockEntry& e, uint64_t my_seq,
                  SubTxn* t) const;
 
-  /// Withdraw `t`'s queue entry and wake this shard (abandon paths of
+  /// Withdraw `t`'s waiting entry and wake this shard (abandon paths of
   /// Acquire: abort, deadlock victim, timeout). The caller separately
-  /// erases t's wait record.
-  void RemoveWaiter(LockShard& shard, const LockTarget& target, LockQueue& q,
-                    std::list<LockEntry>::iterator my_it)
+  /// erases t's wait record. t's node stays on its root's held list.
+  void RemoveWaiter(LockShard& shard, SubTxn* t) SEMCC_REQUIRES(shard.mu);
+
+  /// Link `t`'s entry into `q` and put t on its root's held list.
+  void AppendEntry(LockShard& shard, uint32_t shard_idx, LockQueue& q,
+                   SubTxn* t, bool is_write, bool granted, uint64_t seq)
       SEMCC_REQUIRES(shard.mu);
 
-  /// Append an entry for `t`.
-  std::list<LockEntry>::iterator AppendEntry(LockShard& shard, LockQueue& q,
-                                             SubTxn* t, bool is_write,
-                                             bool granted, uint64_t seq)
+  /// Unlink `e` from its queue, erasing the queue once it is empty. A
+  /// granted entry counts as released; a waiting one leaves shard.waiting.
+  void UnlinkEntry(LockShard& shard, uint32_t shard_idx, LockEntry* e)
       SEMCC_REQUIRES(shard.mu);
+
+  /// ReleaseTree's part in one shard: unlink the entries of `chain` (nodes
+  /// linked through next_held_, all hosted by this shard).
+  void ReleaseChain(LockShard& shard, uint32_t shard_idx, SubTxn* chain)
+      SEMCC_REQUIRES(shard.mu);
+
+  /// What OnSubTxnCompleted(t) does to its tree's own entries.
+  enum class CompletionOp {
+    /// §3 (kSemanticNoRetainedLocks): release the granted entries of t's
+    /// proper descendants.
+    kReleaseDescendants,
+    /// Closed nesting: t's parent adopts the granted entries t owns.
+    kInherit,
+  };
+  /// Whether `op` on the completion of `t` changes entry `e`. Reads only
+  /// fields the tree's own thread writes, so that thread needs no lock.
+  static bool Picks(CompletionOp op, const SubTxn* t, const LockEntry& e);
+  /// Apply `op` to the picked entries of t's tree in this shard (walks the
+  /// root's held list). True if it released an entry.
+  bool ApplyCompletionOp(LockShard& shard, uint32_t shard_idx, SubTxn* t,
+                         CompletionOp op) SEMCC_REQUIRES(shard.mu);
 
   /// Erase t's wait record (if any) and take it out of num_waits_; the
   /// first form takes the graph mutex itself.
@@ -507,6 +580,7 @@ class LockManager {
   /// Immutable after construction; shard state is guarded per shard.
   std::vector<std::unique_ptr<LockShard>> shards_;
   uint32_t shard_mask_ = 0;
+  uint32_t shard_bits_ = 0;  ///< log2 of the shard count
 
   /// Guards the waits-for graph and the debug lock-order diagnostics.
   /// Ordering: acquired after a shard mutex, never before one.

@@ -17,7 +17,11 @@ SubTxn::SubTxn(TxnId id, SubTxn* parent, Oid object, TypeId type,
       type_(type),
       method_(std::move(method)),
       method_id_(MethodInterner::Global().Intern(method_)),
-      args_(std::move(args)) {}
+      args_(std::move(args)) {
+  lock_entry_.acquirer = this;
+  lock_entry_.owner = this;
+  lock_entry_.method_id = method_id_;
+}
 
 bool SubTxn::IsAncestorOf(const SubTxn* other) const {
   for (const SubTxn* n = other->parent_; n != nullptr; n = n->parent_) {
@@ -34,18 +38,27 @@ std::vector<SubTxn*> SubTxn::AncestorChain() const {
 
 void SubTxn::AddChild(SubTxn* child) {
   MutexLock guard(children_mu_);
-  children_.push_back(child);
+  if (last_child_ == nullptr) {
+    first_child_ = child;
+  } else {
+    last_child_->next_sibling_ = child;
+  }
+  last_child_ = child;
 }
 
 std::vector<SubTxn*> SubTxn::Children() const {
   MutexLock guard(children_mu_);
-  return children_;
+  std::vector<SubTxn*> out;
+  for (SubTxn* c = first_child_; c != nullptr; c = c->next_sibling_) {
+    out.push_back(c);
+  }
+  return out;
 }
 
 std::vector<SubTxn*> SubTxn::IncompleteChildren() const {
   MutexLock guard(children_mu_);
   std::vector<SubTxn*> out;
-  for (SubTxn* c : children_) {
+  for (SubTxn* c = first_child_; c != nullptr; c = c->next_sibling_) {
     if (!c->completed()) out.push_back(c);
   }
   return out;
@@ -73,33 +86,53 @@ std::atomic<TxnId> g_next_txn_id{1};
 TxnId TxnTree::NextId() { return g_next_txn_id.fetch_add(1); }
 
 TxnTree::TxnTree(TxnId root_id, std::string name, Oid root_object,
-                 TypeId root_type) {
-  auto root = std::make_unique<SubTxn>(root_id, nullptr, root_object, root_type,
-                                       std::move(name), Args{});
-  root_ = root.get();
-  MutexLock guard(mu_);
-  nodes_.push_back(std::move(root));
+                 TypeId root_type)
+    : root_(new (NextSlot()) SubTxn(root_id, nullptr, root_object, root_type,
+                                    std::move(name), Args{})) {
+  ++size_;
+}
+
+TxnTree::~TxnTree() {
+  size_t left = size_;
+  Chunk* c = &first_;
+  while (c != nullptr) {
+    for (size_t i = 0; i < kChunkNodes && left != 0; ++i, --left) {
+      c->at(i)->~SubTxn();
+    }
+    Chunk* next = c->next;
+    if (c != &first_) delete c;
+    c = next;
+  }
+}
+
+void* TxnTree::NextSlot() {
+  const size_t in_last = size_ % kChunkNodes;
+  if (size_ != 0 && in_last == 0) {
+    last_->next = new Chunk;
+    last_ = last_->next;
+  }
+  return last_->slot(in_last);
 }
 
 SubTxn* TxnTree::NewNode(SubTxn* parent, Oid object, TypeId type,
                          std::string method, Args args) {
   SEMCC_CHECK(parent != nullptr);
-  auto node = std::make_unique<SubTxn>(NextId(), parent, object, type,
-                                       std::move(method), std::move(args));
-  SubTxn* raw = node.get();
-  {
-    MutexLock guard(mu_);
-    nodes_.push_back(std::move(node));
-  }
-  parent->AddChild(raw);
-  return raw;
+  SubTxn* node = new (NextSlot()) SubTxn(NextId(), parent, object, type,
+                                         std::move(method), std::move(args));
+  ++size_;
+  parent->AddChild(node);
+  return node;
 }
 
 std::vector<SubTxn*> TxnTree::Nodes() const {
-  MutexLock guard(mu_);
   std::vector<SubTxn*> out;
-  out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n.get());
+  out.reserve(size_);
+  size_t left = size_;
+  for (const Chunk* c = &first_; c != nullptr && left != 0; c = c->next) {
+    for (size_t i = 0; i < kChunkNodes && left != 0; ++i, --left) {
+      out.push_back(c->at(i));
+    }
+  }
   return out;
 }
 

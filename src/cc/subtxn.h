@@ -8,9 +8,9 @@
 #define SEMCC_CC_SUBTXN_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -24,10 +24,55 @@ namespace semcc {
 
 using TxnId = uint64_t;
 
+class SubTxn;
+struct LockQueue;
+struct MethodDef;
+
 enum class TxnState : int {
   kActive = 0,
   kCommitted = 1,  ///< completed; its locks may be retained by ancestors
   kAborted = 2,
+};
+
+/// \brief One lock-table entry: one acquisition by one action.
+///
+/// An action requests at most one lock, so its entry lives in its SubTxn and
+/// acquiring allocates nothing. A LockQueue links the entries on one target
+/// through prev/next in arrival order. Only the thread running the
+/// acquirer's tree writes an entry, and only under the mutex of the shard
+/// that hosts its queue; other threads read it under that mutex.
+struct LockEntry {
+  /// The action that requested the lock (mode source).
+  SubTxn* acquirer = nullptr;
+  /// Current owner (differs from acquirer only after closed-nested
+  /// anti-inheritance).
+  SubTxn* owner = nullptr;
+  /// acquirer->method_id(), cached for locality.
+  MethodId method_id = kInvalidMethodId;
+  bool is_write = false;
+  bool granted = false;
+  uint32_t shard = 0;  ///< lock-table shard of `queue`
+  uint64_t seq = 0;    ///< FCFS arrival order (per shard; never reused)
+  /// The queue it is linked into; null while unlinked.
+  LockQueue* queue = nullptr;
+  LockEntry* prev = nullptr;
+  LockEntry* next = nullptr;
+};
+
+/// \brief How to compensate a completed action, kept as data in its node
+/// and dispatched on by TxnCtx::Compensate.
+struct Undo {
+  enum class Kind : uint8_t {
+    kNone = 0,       ///< nothing of its own: compensate the children instead
+    kInverse = 1,    ///< method->inverse(object, args, value); value = result
+    kPut = 2,        ///< Put(object, value); value = the before-image
+    kSetInsert = 3,  ///< SetRemove(object, args[0])
+    kSetRemove = 4,  ///< SetInsert(object, args[0], member)
+  };
+  Kind kind = Kind::kNone;
+  const MethodDef* method = nullptr;
+  Value value;
+  Oid member = kInvalidOid;
 };
 
 /// \brief One action in an open nested transaction tree.
@@ -94,17 +139,6 @@ class SubTxn {
   /// Incomplete children only (deadlock detector's completion dependencies).
   std::vector<SubTxn*> IncompleteChildren() const;
 
-  // --- lock-manager scratch (maintained on the ROOT node only) ------------
-  /// Shards of the sharded lock table that may hold entries of this tree
-  /// (bit `shard mod 64`); lets the release sweeps skip untouched shards.
-  void NoteLockShard(uint32_t shard_idx) {
-    lock_shards_.fetch_or(uint64_t{1} << (shard_idx & 63),
-                          std::memory_order_relaxed);
-  }
-  uint64_t lock_shards() const {
-    return lock_shards_.load(std::memory_order_relaxed);
-  }
-
   // --- timestamps for the history / serializability checker --------------
   uint64_t grant_seq() const { return grant_seq_; }
   void set_grant_seq(uint64_t s) { grant_seq_ = s; }
@@ -127,17 +161,18 @@ class SubTxn {
   uint64_t observed_ts() const { return observed_ts_; }
   void set_observed_ts(uint64_t ts) { observed_ts_ = ts; }
 
-  /// Compensation for this completed action, set after successful execution.
-  /// Run (in reverse order of completion) when an ancestor aborts.
-  std::function<void()> inverse;
-  /// If true, `inverse` fully compensates this subtree; otherwise abort
-  /// recurses into the children.
-  bool inverse_is_total = false;
+  /// Compensation for this completed action, set by the owning thread after
+  /// successful execution. Run (in reverse order of completion) when an
+  /// ancestor aborts; any kind but kNone compensates the whole subtree.
+  Undo undo;
 
   std::string Label() const;  ///< e.g. "ShipOrder(@3, 17)"
   std::string PathString() const;
 
  private:
+  /// The lock entry and the held list below are the lock manager's.
+  friend class LockManager;
+
   const TxnId id_;
   TxnId priority_;
   SubTxn* const parent_;
@@ -150,7 +185,6 @@ class SubTxn {
   const Args args_;
   std::atomic<TxnState> state_{TxnState::kActive};
   std::atomic<bool> abort_requested_{false};
-  std::atomic<uint64_t> lock_shards_{0};
   bool compensation_ = false;
   uint64_t grant_seq_ = 0;
   uint64_t end_seq_ = 0;
@@ -158,17 +192,37 @@ class SubTxn {
   uint64_t snapshot_ts_ = 0;   // root only
   uint64_t observed_ts_ = 0;   // leaf reads of snapshot transactions
 
+  /// This action's lock, if it requested one.
+  LockEntry lock_entry_;
+  /// The held list: on the root, the nodes of the tree that appended a lock
+  /// entry, most recent first, linked through next_held_. A node whose entry
+  /// was withdrawn or released early stays on it, with its entry unlinked.
+  /// Only the thread running the tree reads or changes it.
+  SubTxn* held_ = nullptr;
+  SubTxn* next_held_ = nullptr;
+  bool on_held_list_ = false;
+
   mutable Mutex children_mu_;
-  std::vector<SubTxn*> children_ SEMCC_GUARDED_BY(children_mu_);
+  SubTxn* first_child_ SEMCC_GUARDED_BY(children_mu_) = nullptr;
+  SubTxn* last_child_ SEMCC_GUARDED_BY(children_mu_) = nullptr;
+  /// The next child of parent_, in invocation order; guarded by the
+  /// parent's children_mu_.
+  SubTxn* next_sibling_ = nullptr;
 };
 
-/// \brief Owner of a transaction tree: allocates nodes, keeps them alive
-/// until the transaction is fully finished and its locks are released.
+/// \brief Owner of a transaction tree: constructs its nodes in place in
+/// fixed-size chunks and keeps them alive until the transaction is fully
+/// finished and its locks are released. Nodes never move.
+///
+/// Only the thread running the tree grows it (NewNode) and lists it
+/// (Nodes); other threads reach nodes through the pointers they were given
+/// and through the guarded child lists.
 class TxnTree {
  public:
   /// \param root_object what the root acts on — by the paper's footnote 2,
   /// transactions are actions on the object "Database".
   TxnTree(TxnId root_id, std::string name, Oid root_object, TypeId root_type);
+  ~TxnTree();
   SEMCC_DISALLOW_COPY_AND_ASSIGN(TxnTree);
 
   SubTxn* root() { return root_; }
@@ -182,8 +236,25 @@ class TxnTree {
   static TxnId NextId();
 
  private:
-  mutable Mutex mu_;
-  std::vector<std::unique_ptr<SubTxn>> nodes_ SEMCC_GUARDED_BY(mu_);
+  /// Nodes per chunk: the first chunk is part of the tree, so a tree of up
+  /// to this many actions allocates no node storage at all.
+  static constexpr size_t kChunkNodes = 32;
+  struct Chunk {
+    alignas(SubTxn) unsigned char bytes[kChunkNodes * sizeof(SubTxn)];
+    Chunk* next = nullptr;
+    void* slot(size_t i) { return bytes + i * sizeof(SubTxn); }
+    SubTxn* at(size_t i) const {
+      return std::launder(reinterpret_cast<SubTxn*>(
+          const_cast<unsigned char*>(bytes) + i * sizeof(SubTxn)));
+    }
+  };
+
+  /// Storage for the next node, in the last chunk or a fresh one.
+  void* NextSlot();
+
+  Chunk first_;
+  Chunk* last_ = &first_;
+  size_t size_ = 0;  ///< nodes constructed so far, over all chunks
   SubTxn* root_;
 };
 

@@ -36,13 +36,25 @@ void TxnCtx::TraceSnapshotRead(const SubTxn* node, uint64_t observed_ts) {
   trace::Emit(e);
 }
 
-Result<SubTxn*> TxnCtx::BeginAction(Oid obj, const std::string& method,
-                                    Args args, bool is_write, bool is_leaf) {
+Status TxnCtx::CheckNotAborted() const {
   if (!in_compensation_ && root()->abort_requested()) {
     return Status::Aborted("transaction " + std::to_string(root()->id()) +
                            " was asked to abort");
   }
+  return Status::OK();
+}
+
+Result<SubTxn*> TxnCtx::BeginLeaf(Oid obj, const char* method, Args args,
+                                  bool is_write) {
+  SEMCC_RETURN_NOT_OK(CheckNotAborted());
   SEMCC_ASSIGN_OR_RETURN(TypeId type, store_->TypeOf(obj));
+  return BeginAction(obj, type, method, std::move(args), is_write,
+                     /*is_leaf=*/true);
+}
+
+Result<SubTxn*> TxnCtx::BeginAction(Oid obj, TypeId type,
+                                    const std::string& method, Args args,
+                                    bool is_write, bool is_leaf) {
   SubTxn* node = tree_->NewNode(current_, obj, type, method, std::move(args));
   if (in_compensation_) node->set_compensation(true);
   Status st = AcquireForAction(node, is_write, is_leaf);
@@ -80,10 +92,7 @@ Status TxnCtx::AcquireForAction(SubTxn* node, bool is_write, bool is_leaf) {
   return lm_->Acquire(node, target, is_write);
 }
 
-void TxnCtx::CommitAction(SubTxn* node, std::function<void()> inverse,
-                          bool inverse_is_total) {
-  node->inverse = std::move(inverse);
-  node->inverse_is_total = inverse_is_total;
+void TxnCtx::CommitAction(SubTxn* node) {
   node->set_state(TxnState::kCommitted);
   if (snapshot_mode()) {
     // A snapshot node holds no locks and nobody can be waiting on its
@@ -114,10 +123,10 @@ Result<Value> TxnCtx::Invoke(Oid obj, const std::string& method, Args args) {
     return Status::PreconditionFailed(
         "snapshot-read transaction invoked updating method " + method);
   }
-  auto node_r = BeginAction(obj, method, args, !def->read_only,
-                            /*is_leaf=*/false);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_RETURN_NOT_OK(CheckNotAborted());
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginAction(obj, type, method, std::move(args),
+                                     !def->read_only, /*is_leaf=*/false));
 
   SubTxn* saved = current_;
   current_ = node;
@@ -128,22 +137,13 @@ Result<Value> TxnCtx::Invoke(Oid obj, const std::string& method, Args args) {
     AbortAction(node);
     return result;
   }
-  std::function<void()> inverse;
-  bool total = false;
-  if (def->inverse) {
-    const Args& bound_args = node->args();
-    Value bound_result = result.ValueOrDie();
-    inverse = [this, def, obj, bound_args, bound_result]() {
-      Status st = def->inverse(*this, obj, bound_args, bound_result);
-      if (!st.ok()) {
-        ++compensation_failures_;
-        SEMCC_LOG(Error) << "compensation of " << def->name
-                         << " failed: " << st.ToString();
-      }
-    };
-    total = true;
+  const bool total = static_cast<bool>(def->inverse);
+  if (total) {
+    node->undo.kind = Undo::Kind::kInverse;
+    node->undo.method = def;
+    node->undo.value = result.ValueOrDie();
   }
-  CommitAction(node, std::move(inverse), total);
+  CommitAction(node);
   // Restart reads only the records of methods it can compensate; a method
   // without an inverse leaves its leaves' undo records to speak for it.
   if (total && logger_ != nullptr) {
@@ -156,10 +156,9 @@ Result<Value> TxnCtx::Invoke(Oid obj, const std::string& method, Args args) {
 // --- generic leaf operations ------------------------------------------------
 
 Result<Value> TxnCtx::Get(Oid atomic) {
-  auto node_r = BeginAction(atomic, generic_ops::kGet, {}, /*is_write=*/false,
-                            /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginLeaf(atomic, generic_ops::kGet, {},
+                                   /*is_write=*/false));
   if (snapshot_mode()) {
     uint64_t observed = 0;
     Result<Value> v =
@@ -170,7 +169,7 @@ Result<Value> TxnCtx::Get(Oid atomic) {
     }
     node->set_observed_ts(observed);
     TraceSnapshotRead(node, observed);
-    CommitAction(node, nullptr, false);
+    CommitAction(node);
     return v;
   }
   Result<Value> v = store_->Get(atomic);
@@ -178,7 +177,7 @@ Result<Value> TxnCtx::Get(Oid atomic) {
     AbortAction(node);
     return v;
   }
-  CommitAction(node, nullptr, false);
+  CommitAction(node);
   return v;
 }
 
@@ -186,10 +185,9 @@ Status TxnCtx::Put(Oid atomic, const Value& value) {
   if (snapshot_mode()) {
     return Status::PreconditionFailed("Put in snapshot-read transaction");
   }
-  auto node_r = BeginAction(atomic, generic_ops::kPut, {value},
-                            /*is_write=*/true, /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginLeaf(atomic, generic_ops::kPut, {value},
+                                   /*is_write=*/true));
   NoteWrite(atomic, /*is_set=*/false);
   Result<Value> old = store_->Get(atomic);
   if (!old.ok()) {
@@ -214,19 +212,12 @@ Status TxnCtx::Put(Oid atomic, const Value& value) {
   // Physical leaf undo. Sound *before* the enclosing method commits: until
   // then no other transaction can reach this atom (a Case-2 wait requires a
   // *committed* commuting ancestor). Once the enclosing method commits, the
-  // method's registered semantic inverse takes over (inverse_is_total stops
-  // the rollback recursion), so this closure is never misused to wipe out a
-  // commuting update of another transaction.
-  CommitAction(
-      node,
-      [this, atomic, old_value]() {
-        Status undo = Put(atomic, old_value);
-        if (!undo.ok()) {
-          ++compensation_failures_;
-          SEMCC_LOG(Error) << "leaf undo Put failed: " << undo.ToString();
-        }
-      },
-      true);
+  // method's registered semantic inverse takes over (Compensate does not
+  // recurse below a node with an undo of its own), so this before-image is
+  // never misused to wipe out a commuting update of another transaction.
+  node->undo.kind = Undo::Kind::kPut;
+  node->undo.value = std::move(old_value);
+  CommitAction(node);
   return Status::OK();
 }
 
@@ -234,11 +225,9 @@ Status TxnCtx::SetInsert(Oid set, const Value& key, Oid member) {
   if (snapshot_mode()) {
     return Status::PreconditionFailed("Insert in snapshot-read transaction");
   }
-  auto node_r = BeginAction(set, generic_ops::kInsert,
-                            {key, Value::Ref(member)}, /*is_write=*/true,
-                            /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(
+      SubTxn * node, BeginLeaf(set, generic_ops::kInsert,
+                               {key, Value::Ref(member)}, /*is_write=*/true));
   NoteWrite(set, /*is_set=*/true);
   // Probe so the undo record below is only logged for an insert that will
   // apply (a logged undo for a refused duplicate insert would make restart
@@ -263,16 +252,8 @@ Status TxnCtx::SetInsert(Oid set, const Value& key, Oid member) {
     AbortAction(node);
     return st;
   }
-  CommitAction(
-      node,
-      [this, set, key]() {
-        Status undo = SetRemove(set, key);
-        if (!undo.ok()) {
-          ++compensation_failures_;
-          SEMCC_LOG(Error) << "leaf undo SetRemove failed: " << undo.ToString();
-        }
-      },
-      true);
+  node->undo.kind = Undo::Kind::kSetInsert;
+  CommitAction(node);
   return Status::OK();
 }
 
@@ -280,10 +261,9 @@ Status TxnCtx::SetRemove(Oid set, const Value& key) {
   if (snapshot_mode()) {
     return Status::PreconditionFailed("Remove in snapshot-read transaction");
   }
-  auto node_r = BeginAction(set, generic_ops::kRemove, {key},
-                            /*is_write=*/true, /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginLeaf(set, generic_ops::kRemove, {key},
+                                   /*is_write=*/true));
   NoteWrite(set, /*is_set=*/true);
   Result<Oid> member = store_->SetSelect(set, key);
   if (!member.ok()) {
@@ -303,24 +283,16 @@ Status TxnCtx::SetRemove(Oid set, const Value& key) {
     AbortAction(node);
     return st;
   }
-  CommitAction(
-      node,
-      [this, set, key, saved_member]() {
-        Status undo = SetInsert(set, key, saved_member);
-        if (!undo.ok()) {
-          ++compensation_failures_;
-          SEMCC_LOG(Error) << "leaf undo SetInsert failed: " << undo.ToString();
-        }
-      },
-      true);
+  node->undo.kind = Undo::Kind::kSetRemove;
+  node->undo.member = saved_member;
+  CommitAction(node);
   return Status::OK();
 }
 
 Result<Oid> TxnCtx::SetSelect(Oid set, const Value& key) {
-  auto node_r = BeginAction(set, generic_ops::kSelect, {key},
-                            /*is_write=*/false, /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginLeaf(set, generic_ops::kSelect, {key},
+                                   /*is_write=*/false));
   uint64_t observed = 0;
   Result<Oid> member =
       snapshot_mode()
@@ -335,15 +307,14 @@ Result<Oid> TxnCtx::SetSelect(Oid set, const Value& key) {
     node->set_observed_ts(observed);
     TraceSnapshotRead(node, observed);
   }
-  CommitAction(node, nullptr, false);
+  CommitAction(node);
   return member;
 }
 
 Result<bool> TxnCtx::SetMember(Oid set, const Value& key) {
-  auto node_r = BeginAction(set, generic_ops::kMember, {key},
-                            /*is_write=*/false, /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginLeaf(set, generic_ops::kMember, {key},
+                                   /*is_write=*/false));
   uint64_t observed = 0;
   Result<Oid> member =
       snapshot_mode()
@@ -358,16 +329,15 @@ Result<bool> TxnCtx::SetMember(Oid set, const Value& key) {
     node->set_observed_ts(observed);
     TraceSnapshotRead(node, observed);
   }
-  CommitAction(node, nullptr, false);
+  CommitAction(node);
   return member.ok();
 }
 
 Result<std::vector<std::pair<Value, Oid>>> TxnCtx::SetRangeScan(
     Oid set, const Value& lo, const Value& hi) {
-  auto node_r = BeginAction(set, generic_ops::kRangeScan, {lo, hi},
-                            /*is_write=*/false, /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginLeaf(set, generic_ops::kRangeScan, {lo, hi},
+                                   /*is_write=*/false));
   uint64_t observed = 0;
   auto members =
       snapshot_mode()
@@ -388,15 +358,14 @@ Result<std::vector<std::pair<Value, Oid>>> TxnCtx::SetRangeScan(
     node->set_observed_ts(observed);
     TraceSnapshotRead(node, observed);
   }
-  CommitAction(node, nullptr, false);
+  CommitAction(node);
   return in_range;
 }
 
 Result<std::vector<std::pair<Value, Oid>>> TxnCtx::SetScan(Oid set) {
-  auto node_r = BeginAction(set, generic_ops::kScan, {}, /*is_write=*/false,
-                            /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginLeaf(set, generic_ops::kScan, {},
+                                   /*is_write=*/false));
   uint64_t observed = 0;
   auto members =
       snapshot_mode()
@@ -410,15 +379,14 @@ Result<std::vector<std::pair<Value, Oid>>> TxnCtx::SetScan(Oid set) {
     node->set_observed_ts(observed);
     TraceSnapshotRead(node, observed);
   }
-  CommitAction(node, nullptr, false);
+  CommitAction(node);
   return members;
 }
 
 Result<size_t> TxnCtx::SetSize(Oid set) {
-  auto node_r = BeginAction(set, generic_ops::kSize, {}, /*is_write=*/false,
-                            /*is_leaf=*/true);
-  if (!node_r.ok()) return node_r.status();
-  SubTxn* node = node_r.ValueOrDie();
+  SEMCC_ASSIGN_OR_RETURN(SubTxn * node,
+                         BeginLeaf(set, generic_ops::kSize, {},
+                                   /*is_write=*/false));
   uint64_t observed = 0;
   auto size = snapshot_mode()
                   ? versions_->ReadSetSize(set, root()->snapshot_ts(),
@@ -432,7 +400,7 @@ Result<size_t> TxnCtx::SetSize(Oid set) {
     node->set_observed_ts(observed);
     TraceSnapshotRead(node, observed);
   }
-  CommitAction(node, nullptr, false);
+  CommitAction(node);
   return size;
 }
 
@@ -491,21 +459,50 @@ void TxnCtx::Compensate(SubTxn* node) {
   for (auto it = children.rbegin(); it != children.rend(); ++it) {
     SubTxn* child = *it;
     if (child->compensation()) continue;  // never compensate compensations
-    if (child->committed()) {
-      if (child->inverse && child->inverse_is_total) {
-        child->inverse();
-      } else if (child->inverse) {
-        Compensate(child);
-        child->inverse();
-      } else {
-        // Read-only or structural: recurse in case update leaves hide below.
-        Compensate(child);
-      }
+    if (child->committed() && child->undo.kind != Undo::Kind::kNone) {
+      RunUndo(child);
     } else {
-      // Aborted mid-flight: compensate whatever committed beneath it.
+      // Read-only or structural (recurse in case update leaves hide below),
+      // or aborted mid-flight: compensate whatever committed beneath it.
       Compensate(child);
     }
   }
+}
+
+void TxnCtx::RunUndo(SubTxn* node) {
+  const Undo& undo = node->undo;
+  const Oid obj = node->object();
+  Status st;
+  switch (undo.kind) {
+    case Undo::Kind::kNone:
+      return;
+    case Undo::Kind::kInverse:
+      st = undo.method->inverse(*this, obj, node->args(), undo.value);
+      if (!st.ok()) {
+        SEMCC_LOG(Error) << "compensation of " << undo.method->name
+                         << " failed: " << st.ToString();
+      }
+      break;
+    case Undo::Kind::kPut:
+      st = Put(obj, undo.value);
+      if (!st.ok()) {
+        SEMCC_LOG(Error) << "leaf undo Put failed: " << st.ToString();
+      }
+      break;
+    case Undo::Kind::kSetInsert:
+      st = SetRemove(obj, node->args()[0]);
+      if (!st.ok()) {
+        SEMCC_LOG(Error) << "leaf undo SetRemove failed: " << st.ToString();
+      }
+      break;
+    case Undo::Kind::kSetRemove:
+      st = SetInsert(obj, node->args()[0], undo.member);
+      if (!st.ok()) {
+        SEMCC_LOG(Error) << "leaf undo SetInsert failed: " << st.ToString();
+      }
+      break;
+  }
+  if (!st.ok()) ++compensation_failures_;
 }
 
 }  // namespace semcc

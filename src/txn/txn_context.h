@@ -16,7 +16,6 @@
 #ifndef SEMCC_TXN_TXN_CONTEXT_H_
 #define SEMCC_TXN_TXN_CONTEXT_H_
 
-#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -75,10 +74,10 @@ class TxnCtx {
 
   // --- method invocation (non-leaf actions) ------------------------------
 
-  /// Invoke a registered method on `obj`. Creates a subtransaction, acquires
-  /// the semantic lock derived from (method, args), runs the body, and
-  /// commits the subtransaction (converting its subtree's locks into
-  /// retained locks).
+  /// Invoke a registered method on `obj`. Creates a subtransaction (which
+  /// takes over `args`), acquires the semantic lock derived from (method,
+  /// args), runs the body, and commits the subtransaction (converting its
+  /// subtree's locks into retained locks).
   Result<Value> Invoke(Oid obj, const std::string& method, Args args);
 
   // --- generic operations (leaf actions; also the "bypass" surface) ------
@@ -145,14 +144,23 @@ class TxnCtx {
   uint64_t compensation_failures() const { return compensation_failures_; }
 
  private:
-  /// Begin an action: node + lock. Returns nullptr result status on failure.
-  Result<SubTxn*> BeginAction(Oid obj, const std::string& method, Args args,
-                              bool is_write, bool is_leaf);
+  /// Aborted once the root was asked to abort, unless compensating.
+  Status CheckNotAborted() const;
+  /// Begin an action on `obj` of type `type`: node + lock. On failure the
+  /// node is aborted and the error returned.
+  Result<SubTxn*> BeginAction(Oid obj, TypeId type, const std::string& method,
+                              Args args, bool is_write, bool is_leaf);
+  /// Begin a generic leaf operation: CheckNotAborted, the type of `obj`,
+  /// then BeginAction.
+  Result<SubTxn*> BeginLeaf(Oid obj, const char* method, Args args,
+                            bool is_write);
   Status AcquireForAction(SubTxn* node, bool is_write, bool is_leaf);
-  void CommitAction(SubTxn* node, std::function<void()> inverse,
-                    bool inverse_is_total);
+  /// Complete `node` successfully; its `undo` must be set before.
+  void CommitAction(SubTxn* node);
   void AbortAction(SubTxn* node);
   void Compensate(SubTxn* node);
+  /// Run `node`'s undo (kind other than kNone); count a failure.
+  void RunUndo(SubTxn* node);
   /// Append the tree's begin record before its first record; later calls
   /// do nothing. No-op without a logger.
   void LogBegin();

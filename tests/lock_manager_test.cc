@@ -443,6 +443,36 @@ TEST_F(LockManagerTest, ClosedNestedSharedReadsPass) {
   EXPECT_EQ(lm->stats().blocked_acquires, 0u);
 }
 
+TEST_F(LockManagerTest, LocksOnNamesTheClosedNestedOwner) {
+  // LocksOn reports the entry's owner, which anti-inheritance moves up the
+  // tree: the committed child's lock belongs to its parent, then the root.
+  ProtocolOptions o;
+  o.protocol = Protocol::kClosedNested;
+  auto lm = Make(o);
+  TxnTree t1(TxnTree::NextId(), "T1", kDatabaseOid, 0);
+  SubTxn* parent = t1.NewNode(t1.root(), kObjA, kItemT, "Ma", {});
+  SubTxn* put =
+      t1.NewNode(parent, kObjB, kAtomT, generic_ops::kPut, {Value(1)});
+  ASSERT_TRUE(lm->Acquire(put, LockTarget::ForObject(kObjB), true).ok());
+  auto owner_of_b = [&]() {
+    const auto locks = lm->LocksOn(LockTarget::ForObject(kObjB));
+    EXPECT_EQ(locks.size(), 1u);
+    EXPECT_EQ(locks.at(0).root_id, t1.root()->id());
+    EXPECT_EQ(locks.at(0).method, generic_ops::kPut);
+    EXPECT_TRUE(locks.at(0).granted);
+    return std::make_pair(locks.at(0).owner_id, locks.at(0).retained);
+  };
+  EXPECT_EQ(owner_of_b(), std::make_pair(put->id(), false));
+  Complete(lm.get(), put);
+  EXPECT_EQ(owner_of_b(), std::make_pair(parent->id(), false));
+  Complete(lm.get(), parent);
+  EXPECT_EQ(owner_of_b(), std::make_pair(t1.root()->id(), false));
+  Complete(lm.get(), t1.root());
+  EXPECT_EQ(owner_of_b(), std::make_pair(t1.root()->id(), true));
+  lm->ReleaseTree(t1.root());
+  EXPECT_TRUE(lm->LocksOn(LockTarget::ForObject(kObjB)).empty());
+}
+
 // --- flat 2PL baseline ---------------------------------------------------------
 
 TEST_F(LockManagerTest, FlatSharedAndExclusiveModes) {

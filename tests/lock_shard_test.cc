@@ -3,20 +3,27 @@
 // order within one queue (paper footnote 5) under sharding, deadlock cycles
 // spanning multiple shards, and wakeup liveness — a waiter must wake
 // promptly on its unblocking event, never by riding out a timeout (there is
-// no polling fallback to hide a lost notification).
+// no polling fallback to hide a lost notification). Also the per-shard
+// queue table against std::unordered_map, and the release paths, which
+// walk only their own tree's entries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "cc/compatibility.h"
 #include "cc/lock_manager.h"
 #include "cc/subtxn.h"
 #include "util/annotations.h"
+#include "util/random.h"
 
 namespace semcc {
 namespace {
@@ -359,6 +366,295 @@ INSTANTIATE_TEST_SUITE_P(FastPathConfigs, LockShardTest,
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "flags" + std::to_string(info.param);
                          });
+
+// --- the per-shard queue table -------------------------------------------
+
+// Every key of `oracle` maps to its queue, and no other key of [0, keys) is
+// present. Queue addresses must not change while a key stays present.
+void ExpectTableMatches(const LockQueueTable& table,
+                        const std::unordered_map<uint64_t, LockQueue*>& oracle,
+                        uint64_t keys, uint64_t (*hash)(uint64_t)) {
+  ASSERT_EQ(table.size(), oracle.size());
+  size_t occupied = 0;
+  for (size_t i = 0; i < table.capacity(); ++i) {
+    if (table.queue_at(i) != nullptr) ++occupied;
+  }
+  ASSERT_EQ(occupied, oracle.size());
+  for (uint64_t k = 0; k < keys; ++k) {
+    auto it = oracle.find(k);
+    LockQueue* want = it == oracle.end() ? nullptr : it->second;
+    ASSERT_EQ(table.Find(LockTarget::ForObject(k), hash(k)), want)
+        << "key " << k;
+  }
+}
+
+// Half the keys share five homes at the very end of any power-of-two slot
+// array (all low bits set), so their probe chains wrap around to slot 0;
+// the others spread.
+uint64_t ChurnHash(uint64_t k) {
+  return k % 2 == 0 ? ~uint64_t{0} - k % 5 : k * 0x9e3779b97f4a7c15ull;
+}
+
+TEST(LockQueueTable, ChurnMatchesUnorderedMap) {
+  LockQueueTable table;
+  std::unordered_map<uint64_t, LockQueue*> oracle;
+  Random rng(2025);
+  constexpr uint64_t kKeys = 300;
+  const size_t initial_capacity = table.capacity();
+  size_t max_capacity = initial_capacity;
+  for (int step = 0; step < 30000; ++step) {
+    const uint64_t k = rng.Uniform(kKeys);
+    const LockTarget target = LockTarget::ForObject(k);
+    // Insert-heavy first (growth), erase-heavy later (long chains emptied
+    // from the middle), balanced at the end.
+    const double insert_p = step < 10000 ? 0.8 : step < 20000 ? 0.3 : 0.5;
+    auto it = oracle.find(k);
+    if (rng.Bernoulli(insert_p)) {
+      LockQueue* q = table.FindOrInsert(target, ChurnHash(k));
+      ASSERT_NE(q, nullptr);
+      if (it != oracle.end()) {
+        ASSERT_EQ(q, it->second) << "key " << k << " moved";
+      } else {
+        EXPECT_TRUE(q->empty());
+        EXPECT_EQ(q->target, target);
+        oracle.emplace(k, q);
+      }
+    } else if (it != oracle.end()) {
+      table.Erase(it->second);
+      oracle.erase(it);
+    }
+    max_capacity = std::max(max_capacity, table.capacity());
+    if (step % 97 == 0) {
+      ExpectTableMatches(table, oracle, kKeys, ChurnHash);
+      if (HasFatalFailure()) return;
+    }
+  }
+  ExpectTableMatches(table, oracle, kKeys, ChurnHash);
+  EXPECT_GT(max_capacity, initial_capacity);  // it grew
+  EXPECT_LE(2 * table.size(), table.capacity());
+  // Drain it: every erase must keep the remaining keys reachable.
+  while (!oracle.empty()) {
+    table.Erase(oracle.begin()->second);
+    oracle.erase(oracle.begin());
+    ExpectTableMatches(table, oracle, kKeys, ChurnHash);
+    if (HasFatalFailure()) return;
+  }
+}
+
+uint64_t LastSlotHash(uint64_t k) { return k < 100 ? ~uint64_t{0} : 1; }
+
+TEST(LockQueueTable, EraseFromTheMiddleOfAWrappingChain) {
+  LockQueueTable table;
+  const size_t capacity = table.capacity();
+  std::unordered_map<uint64_t, LockQueue*> oracle;
+  // Five keys homed at the last slot (their chain wraps to slots 0-3), then
+  // one homed at slot 1, which has to probe past the wrapped part.
+  for (uint64_t k = 0; k < 5; ++k) {
+    oracle[k] = table.FindOrInsert(LockTarget::ForObject(k), LastSlotHash(k));
+  }
+  oracle[100] = table.FindOrInsert(LockTarget::ForObject(100), 1);
+  ExpectTableMatches(table, oracle, 101, LastSlotHash);
+  LockQueue* last_erased = nullptr;
+  for (uint64_t k : {2, 0, 4}) {  // middle, head, tail of the chain
+    last_erased = oracle[k];
+    table.Erase(last_erased);
+    oracle.erase(k);
+    ExpectTableMatches(table, oracle, 101, LastSlotHash);
+  }
+  EXPECT_EQ(table.capacity(), capacity);
+  // The next new target reuses the last erased queue head.
+  LockQueue* reused = table.FindOrInsert(LockTarget::ForObject(7), 5);
+  EXPECT_EQ(reused, last_erased);
+  EXPECT_EQ(reused->target, LockTarget::ForObject(7));
+}
+
+// --- release paths --------------------------------------------------------
+
+// Three trees whose granted, retained and waiting entries are interleaved in
+// shared queues. Each release path — the completion of a subtransaction
+// (the §3 release, closed-nested anti-inheritance) and ReleaseTree — must
+// change its own tree's entries only, and the waiter must be granted once
+// the last foreign holder goes.
+struct LockReleasePathTest
+    : public ::testing::TestWithParam<std::tuple<Protocol, int>> {
+  LockReleasePathTest() { compat.Define(kItemT, "Ma", "Ma", false); }
+
+  Protocol protocol() const { return std::get<0>(GetParam()); }
+
+  struct Entry {
+    Oid object;
+    TxnId owner;
+    std::string method;
+    bool granted;
+    bool operator==(const Entry&) const = default;
+  };
+
+  // Entries on the test's targets, per root id, in queue order.
+  std::map<TxnId, std::vector<Entry>> Entries(const LockManager& lm) const {
+    std::map<TxnId, std::vector<Entry>> out;
+    for (Oid obj : {kX, kY, kZ, kM}) {
+      for (const auto& info : lm.LocksOn(LockTarget::ForObject(obj))) {
+        out[info.root_id].push_back(
+            {obj, info.owner_id, info.method, info.granted});
+      }
+    }
+    return out;
+  }
+
+  static constexpr Oid kX = 700;
+  static constexpr Oid kY = 701;
+  static constexpr Oid kZ = 702;
+  static constexpr Oid kM = 703;
+  CompatibilityRegistry compat;
+};
+
+TEST_P(LockReleasePathTest, EachPathChangesOnlyItsOwnTree) {
+  ProtocolOptions o;
+  o.protocol = protocol();
+  o.lock_table_shards = std::get<1>(GetParam());
+  o.debug_lock_checks = true;
+  o.wait_timeout = std::chrono::milliseconds(20000);
+  LockManager lm(o, &compat);
+  const bool no_retain = protocol() == Protocol::kSemanticNoRetainedLocks;
+  const bool closed = protocol() == Protocol::kClosedNested;
+
+  // A: a method on M with two reads below it; B: three reads; C: a read,
+  // then a write on X that waits for A's and B's reads.
+  TxnTree a(TxnTree::NextId(), "A", kDatabaseOid, 0);
+  TxnTree b(TxnTree::NextId(), "B", kDatabaseOid, 0);
+  TxnTree c(TxnTree::NextId(), "C", kDatabaseOid, 0);
+  SubTxn* ma = a.NewNode(a.root(), kM, kItemT, "Ma", {});
+  SubTxn* ax = a.NewNode(ma, kX, kAtomT, generic_ops::kGet, {});
+  SubTxn* ay = a.NewNode(ma, kY, kAtomT, generic_ops::kGet, {});
+  SubTxn* bx = b.NewNode(b.root(), kX, kAtomT, generic_ops::kGet, {});
+  SubTxn* by = b.NewNode(b.root(), kY, kAtomT, generic_ops::kGet, {});
+  SubTxn* bz = b.NewNode(b.root(), kZ, kAtomT, generic_ops::kGet, {});
+  SubTxn* cy = c.NewNode(c.root(), kY, kAtomT, generic_ops::kGet, {});
+  SubTxn* cx = c.NewNode(c.root(), kX, kAtomT, generic_ops::kPut, {Value(1)});
+  ASSERT_TRUE(lm.Acquire(ma, LockTarget::ForObject(kM), true).ok());
+  ASSERT_TRUE(lm.Acquire(ax, LockTarget::ForObject(kX), false).ok());
+  ASSERT_TRUE(lm.Acquire(bx, LockTarget::ForObject(kX), false).ok());
+  ASSERT_TRUE(lm.Acquire(by, LockTarget::ForObject(kY), false).ok());
+  ASSERT_TRUE(lm.Acquire(ay, LockTarget::ForObject(kY), false).ok());
+  ASSERT_TRUE(lm.Acquire(cy, LockTarget::ForObject(kY), false).ok());
+  ASSERT_TRUE(lm.Acquire(bz, LockTarget::ForObject(kZ), false).ok());
+
+  std::atomic<bool> done{false};
+  Status waited;
+  std::thread waiter([&]() {
+    waited = lm.Acquire(cx, LockTarget::ForObject(kX), true);
+    done = true;
+  });
+  while (lm.stats().blocked_acquires == 0 || lm.NumWaiters() != 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  auto before = Entries(lm);
+  const TxnId ra = a.root()->id();
+  const TxnId rb = b.root()->id();
+  const TxnId rc = c.root()->id();
+  EXPECT_EQ(before[ra].size(), 3u);
+  EXPECT_EQ(before[rb].size(), 3u);
+  EXPECT_EQ(before[rc].size(), 2u);
+  const std::vector<Entry> b_entries = before[rb];
+  const std::vector<Entry> c_entries = before[rc];
+  EXPECT_EQ(std::count_if(c_entries.begin(), c_entries.end(),
+                          [](const Entry& e) { return !e.granted; }),
+            1);
+
+  // The leaves of A complete: their locks stay (retained), except that
+  // closed nesting hands them to their parent.
+  auto set_owner = [&](std::vector<Entry> v, Oid obj, TxnId owner) {
+    for (Entry& e : v) {
+      if (e.object == obj) e.owner = owner;
+    }
+    return v;
+  };
+  std::vector<Entry> a_entries = before[ra];
+  for (SubTxn* leaf : {ax, ay}) {
+    leaf->set_state(TxnState::kCommitted);
+    lm.OnSubTxnCompleted(leaf);
+    if (closed) a_entries = set_owner(a_entries, leaf->object(), ma->id());
+    auto now = Entries(lm);
+    EXPECT_EQ(now[ra], a_entries);
+    EXPECT_EQ(now[rb], b_entries);
+    EXPECT_EQ(now[rc], c_entries);
+  }
+
+  // The method of A completes: the §3 protocol drops its descendants'
+  // locks, closed nesting hands all three to A's root.
+  ma->set_state(TxnState::kCommitted);
+  lm.OnSubTxnCompleted(ma);
+  if (no_retain) {
+    // Only Ma's own lock on M remains.
+    a_entries.erase(
+        std::remove_if(a_entries.begin(), a_entries.end(),
+                       [](const Entry& e) { return e.object != kM; }),
+        a_entries.end());
+  } else if (closed) {
+    for (Oid obj : {kM, kX, kY}) {
+      a_entries = set_owner(a_entries, obj, ra);
+    }
+  }
+  {
+    auto now = Entries(lm);
+    EXPECT_EQ(now[ra], a_entries);
+    EXPECT_EQ(now[rb], b_entries);
+    EXPECT_EQ(now[rc], c_entries);
+  }
+  EXPECT_FALSE(done.load());
+
+  // ReleaseTree of A removes A's entries only; B still blocks the waiter.
+  lm.ReleaseTree(a.root());
+  {
+    auto now = Entries(lm);
+    EXPECT_EQ(now.count(ra), 0u);
+    EXPECT_EQ(now[rb], b_entries);
+    EXPECT_EQ(now[rc], c_entries);
+  }
+  EXPECT_FALSE(done.load());
+
+  // B goes: the waiter is granted.
+  b.root()->set_state(TxnState::kCommitted);
+  lm.OnSubTxnCompleted(b.root());
+  lm.ReleaseTree(b.root());
+  waiter.join();
+  ASSERT_TRUE(waited.ok()) << waited.ToString();
+  {
+    auto now = Entries(lm);
+    EXPECT_EQ(now.count(rb), 0u);
+    ASSERT_EQ(now[rc].size(), 2u);
+    for (const Entry& e : now[rc]) EXPECT_TRUE(e.granted);
+  }
+
+  for (SubTxn* n : {cy, cx, c.root()}) {
+    n->set_state(TxnState::kCommitted);
+    lm.OnSubTxnCompleted(n);
+  }
+  lm.ReleaseTree(c.root());
+  EXPECT_TRUE(Entries(lm).empty());
+  const LockStats stats = lm.stats();
+  EXPECT_EQ(stats.granted_entries, 8u);
+  EXPECT_EQ(stats.granted_entries, stats.released_entries);
+  EXPECT_EQ(lm.NumWaiters(), 0u);
+  EXPECT_EQ(lm.CheckInvariantsNow(), 0u);
+  EXPECT_EQ(lm.invariant_stats().leaked_locks.load(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, LockReleasePathTest,
+    ::testing::Combine(
+        ::testing::Values(Protocol::kSemanticONT,
+                          Protocol::kSemanticNoAncestorWalk,
+                          Protocol::kSemanticNoRetainedLocks,
+                          Protocol::kClosedNested, Protocol::kFlat2PLObject,
+                          Protocol::kFlat2PLRecord, Protocol::kFlat2PLPage),
+        ::testing::Values(1, 16)),
+    [](const ::testing::TestParamInfo<std::tuple<Protocol, int>>& info) {
+      std::string name = ProtocolName(std::get<0>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_shards" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace semcc
