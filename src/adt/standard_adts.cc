@@ -1,7 +1,6 @@
 #include "adt/standard_adts.h"
 
 #include "cc/compatibility.h"
-#include "cc/method_interner.h"
 
 namespace semcc {
 namespace adt {
@@ -95,19 +94,6 @@ Result<CounterType> InstallCounter(Database* db) {
   return t;
 }
 
-void InstallKeyedSetSpecs(Database* db, TypeId set_type) {
-  CompatibilityRegistry* c = db->compat();
-  MethodInterner& interner = MethodInterner::Global();
-  for (const char* m :
-       {generic_ops::kInsert, generic_ops::kRemove, generic_ops::kSelect,
-        generic_ops::kMember, generic_ops::kRangeScan, generic_ops::kScan,
-        generic_ops::kSize}) {
-    auto spec =
-        CompatibilityRegistry::GenericMethodSpec(interner.Lookup(m));
-    if (spec.has_value()) c->DefineMethodSpec(set_type, m, *spec);
-  }
-}
-
 Result<Oid> NewCounter(Database* db, const CounterType& t, int64_t initial) {
   SEMCC_ASSIGN_OR_RETURN(Oid cell,
                          db->store()->CreateAtomic(t.number, Value(initial)));
@@ -120,9 +106,6 @@ Result<QueueType> InstallQueue(Database* db) {
   SEMCC_ASSIGN_OR_RETURN(t.entries_set,
                          db->schema()->DefineSetType("QueueEntries",
                                                      t.counter.number, "pos"));
-  // Positions are keys: give the entries set the generic-op footprints so
-  // its matrix cells are derived and its locks carry key intervals.
-  InstallKeyedSetSpecs(db, t.entries_set);
   SEMCC_ASSIGN_OR_RETURN(
       t.queue, db->schema()->DefineTupleType(
                    "Queue",

@@ -56,13 +56,6 @@ struct QueueType {
 /// Enqueue/Dequeue/Size/Front and the §1.1 compatibility matrix.
 Result<QueueType> InstallQueue(Database* db);
 
-/// Register the declarative footprints of the generic set operations
-/// (Insert/Remove/Select/Member/RangeScan/Scan/Size) for `set_type`, letting
-/// the CompatibilityRegistry DERIVE that type's matrix cells from the
-/// footprint algebra (verdict-equivalent to the built-in generic rules;
-/// tools/matrix_verify cross-checks).
-void InstallKeyedSetSpecs(Database* db, TypeId set_type);
-
 Result<Oid> NewQueue(Database* db, const QueueType& t);
 
 }  // namespace adt

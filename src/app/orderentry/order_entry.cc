@@ -2,7 +2,6 @@
 #include <chrono>
 #include <thread>
 
-#include "adt/standard_adts.h"
 #include "cc/compatibility.h"
 #include "util/random.h"
 
@@ -269,9 +268,6 @@ Result<OrderEntryTypes> Install(Database* db, InstallOptions opts) {
                                   /*encapsulated=*/true));
   SEMCC_ASSIGN_OR_RETURN(t.orders_set,
                          s->DefineSetType("Orders", t.order, "OrderNo"));
-  // OrderNo-keyed footprints for the generic set operations: derives the
-  // Orders matrix cells from the footprint algebra.
-  adt::InstallKeyedSetSpecs(db, t.orders_set);
   SEMCC_ASSIGN_OR_RETURN(
       t.item, s->DefineTupleType("Item",
                                  {{"ItemNo", t.number},

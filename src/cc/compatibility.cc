@@ -17,69 +17,6 @@ PairKey MakeKey(const std::string& m1, const std::string& m2, bool* swapped) {
   *swapped = true;
   return {m2, m1};
 }
-
-// --- derivation algebra helpers (DESIGN.md §5.8) ---------------------------
-
-/// Can footprints f and g ever / always overlap, knowing only their shapes?
-enum class Overlap : uint8_t { kNever, kArgDep, kAlways };
-
-Overlap FootOverlap(const KeyRef& f, const KeyRef& g) {
-  using Kind = KeyRef::Kind;
-  if (f.kind == Kind::kNone || g.kind == Kind::kNone) return Overlap::kNever;
-  if (f.kind == Kind::kAll || g.kind == Kind::kAll) return Overlap::kAlways;
-  return Overlap::kArgDep;
-}
-
-/// A footprint bound to one invocation's actual arguments. Keys stay at the
-/// Value level — comparisons use Value's total order, so string keys behave
-/// exactly like the generic rules' key tests.
-struct ConcreteFoot {
-  KeyRef::Kind kind = KeyRef::Kind::kNone;
-  const Value* a = nullptr;  ///< point key / range low
-  const Value* b = nullptr;  ///< range high
-  bool unknown = false;      ///< referenced argument missing: assume overlap
-};
-
-ConcreteFoot Resolve(const KeyRef& f, const Args& args) {
-  ConcreteFoot c;
-  c.kind = f.kind;
-  auto bind = [&args](uint8_t i, const Value** out) {
-    if (i >= args.size()) return false;
-    *out = &args[i];
-    return true;
-  };
-  switch (f.kind) {
-    case KeyRef::Kind::kNone:
-    case KeyRef::Kind::kAll:
-      break;
-    case KeyRef::Kind::kPoint:
-      c.unknown = !bind(f.arg_a, &c.a);
-      break;
-    case KeyRef::Kind::kRange:
-      c.unknown = !bind(f.arg_a, &c.a) || !bind(f.arg_b, &c.b);
-      break;
-  }
-  return c;
-}
-
-bool FeetOverlap(const ConcreteFoot& x, const ConcreteFoot& y) {
-  using Kind = KeyRef::Kind;
-  if (x.kind == Kind::kNone || y.kind == Kind::kNone) return false;
-  if (x.unknown || y.unknown) return true;  // safe default: clash
-  if (x.kind == Kind::kAll || y.kind == Kind::kAll) return true;
-  if (x.kind == Kind::kPoint && y.kind == Kind::kPoint) return *x.a == *y.a;
-  // A point p against a closed range overlaps as the range [p, p] would.
-  const Value& x_hi = x.kind == Kind::kRange ? *x.b : *x.a;
-  const Value& y_hi = y.kind == Kind::kRange ? *y.b : *y.a;
-  return !(x_hi < *y.a) && !(y_hi < *x.a);
-}
-
-/// One method's result depends on the membership count the other changes —
-/// a conflict no key reasoning can dissolve.
-bool SizeCoupled(const MethodSpec& s1, const MethodSpec& s2) {
-  return (s1.observes_size && s2.size_delta != 0) ||
-         (s2.observes_size && s1.size_delta != 0);
-}
 }  // namespace
 
 void CompatibilityRegistry::DeclareMethod(TypeId type,
@@ -116,135 +53,6 @@ void CompatibilityRegistry::DefinePredicate(TypeId type, const std::string& m1,
   e.swapped = swapped;
   table_[type][key] = std::move(e);
   Recompile();
-}
-
-CompatibilityRegistry::DerivedCell CompatibilityRegistry::DeriveCell(
-    const MethodSpec& s1, const MethodSpec& s2) {
-  if (SizeCoupled(s1, s2)) return DerivedCell::kConflict;
-  // Commutativity needs every (write, write/read) footprint pair disjoint;
-  // read/read intersection is harmless.
-  const Overlap terms[] = {FootOverlap(s1.writes, s2.writes),
-                           FootOverlap(s1.writes, s2.reads),
-                           FootOverlap(s1.reads, s2.writes)};
-  DerivedCell cell = DerivedCell::kCompatible;
-  for (Overlap o : terms) {
-    if (o == Overlap::kAlways) return DerivedCell::kConflict;
-    if (o == Overlap::kArgDep) cell = DerivedCell::kPredicate;
-  }
-  return cell;
-}
-
-bool CompatibilityRegistry::SpecsCommute(const MethodSpec& s1, const Args& a1,
-                                         const MethodSpec& s2,
-                                         const Args& a2) {
-  if (SizeCoupled(s1, s2)) return false;
-  const ConcreteFoot w1 = Resolve(s1.writes, a1);
-  const ConcreteFoot r1 = Resolve(s1.reads, a1);
-  const ConcreteFoot w2 = Resolve(s2.writes, a2);
-  const ConcreteFoot r2 = Resolve(s2.reads, a2);
-  return !FeetOverlap(w1, w2) && !FeetOverlap(w1, r2) && !FeetOverlap(r1, w2);
-}
-
-void CompatibilityRegistry::DefineMethodSpec(TypeId type,
-                                             const std::string& method,
-                                             const MethodSpec& spec) {
-  MethodInterner::Global().Intern(method);
-  WriterMutexLock guard(mu_);
-  auto& list = methods_[type];
-  if (std::find(list.begin(), list.end(), method) == list.end()) {
-    list.push_back(method);
-  }
-  specs_[type][method] = spec;
-  auto& type_entries = table_[type];
-  for (const auto& [other, other_spec] : specs_[type]) {
-    bool swapped = false;
-    const PairKey key = MakeKey(method, other, &swapped);
-    // A hand-written (or previously derived — same algebra, same result)
-    // cell wins; derivation only fills pairs nobody specified. The matrix
-    // verifier still re-derives every spec pair, so a hand-written cell
-    // that contradicts the specs is reported, not silently kept.
-    if (type_entries.find(key) != type_entries.end()) continue;
-    Entry e;
-    switch (DeriveCell(spec, other_spec)) {
-      case DerivedCell::kCompatible:
-        e.compatible = true;
-        break;
-      case DerivedCell::kConflict:
-        e.compatible = false;
-        break;
-      case DerivedCell::kPredicate: {
-        e.is_predicate = true;
-        const MethodSpec s1 = spec;
-        const MethodSpec s2 = other_spec;
-        e.pred = [s1, s2](const Args& a1, const Args& a2) {
-          return SpecsCommute(s1, a1, s2, a2);
-        };
-        // The predicate contract hands the first registered method's args
-        // first; registration order here is (method, other) == (s1, s2).
-        e.swapped = swapped;
-        break;
-      }
-    }
-    type_entries[key] = std::move(e);
-  }
-  Recompile();
-}
-
-std::optional<MethodSpec> CompatibilityRegistry::MethodSpecOf(
-    TypeId type, MethodId m) const {
-  const Compiled* compiled = compiled_.load(std::memory_order_acquire);
-  if (compiled != nullptr) {
-    const Compiled::TypeTable* table = compiled->TableFor(type);
-    if (table != nullptr) {
-      auto it = table->specs.find(m);
-      if (it != table->specs.end()) return it->second;
-    }
-  }
-  return GenericMethodSpec(m);
-}
-
-std::optional<MethodSpec> CompatibilityRegistry::GenericMethodSpec(
-    MethodId m) {
-  using namespace generic_ids;
-  MethodSpec s;
-  switch (m) {
-    case kInsert:
-      s.writes = KeyRef::Point(0);
-      s.size_delta = 1;
-      return s;
-    case kRemove:
-      s.reads = KeyRef::Point(0);  // observes presence of the key
-      s.writes = KeyRef::Point(0);
-      s.size_delta = -1;
-      return s;
-    case kSelect:
-    case kMember:
-      s.reads = KeyRef::Point(0);
-      return s;
-    case kRangeScan:
-      s.reads = KeyRef::Range(0, 1);
-      return s;
-    case kScan:
-      s.reads = KeyRef::All();
-      return s;
-    case kSize:
-      s.observes_size = true;
-      return s;
-    default:
-      return std::nullopt;  // Get/Put: atomic objects have no key space
-  }
-}
-
-std::vector<std::string> CompatibilityRegistry::SpecMethodsOf(
-    TypeId type) const {
-  ReaderMutexLock guard(mu_);
-  std::vector<std::string> out;
-  auto it = specs_.find(type);
-  if (it == specs_.end()) return out;
-  for (const auto& entry : it->second) {
-    out.push_back(entry.first);  // std::map iteration: already name-ordered
-  }
-  return out;
 }
 
 void CompatibilityRegistry::Recompile() {
@@ -291,24 +99,12 @@ void CompatibilityRegistry::Recompile() {
       }
     }
   }
-  // Attach compiled specs. A type with specs but no entries still gets a
-  // table — with dim 0, so every cell reads kUnknown — purely to carry the
-  // specs for MethodSpecOf.
-  for (const auto& [type, spec_map] : specs_) {
-    Compiled::TypeTable& table = tables[type];
-    for (const auto& [name, spec] : spec_map) {
-      table.specs[interner.Intern(name)] = spec;
-    }
-  }
   for (auto& [type, table] : tables) {
-    if (type <= kMaxDenseTypeId) {
-      if (compiled->dense_types.size() <= type) {
-        compiled->dense_types.resize(type + 1);
-      }
-      compiled->dense_types[type] = std::move(table);
-    } else {
-      compiled->overflow_types.emplace(type, std::move(table));
+    SEMCC_CHECK(type <= kMaxDenseTypeId);
+    if (compiled->dense_types.size() <= type) {
+      compiled->dense_types.resize(type + 1);
     }
+    compiled->dense_types[type] = std::move(table);
   }
   compiled_.store(compiled.get(), std::memory_order_release);
   snapshots_.push_back(std::move(compiled));
@@ -485,25 +281,6 @@ bool CompatibilityRegistry::TestOnlyCorruptCell(TypeId type,
   if (table == nullptr || a >= table->dim || b >= table->dim) return false;
   table->cells[static_cast<size_t>(a) * table->dim + b] =
       static_cast<uint8_t>(cell);
-  return true;
-}
-
-bool CompatibilityRegistry::TestOnlyCorruptSpec(TypeId type,
-                                                const std::string& method,
-                                                const MethodSpec& spec) {
-  const MethodId id = MethodInterner::Global().Lookup(method);
-  if (id == kInvalidMethodId) return false;
-  auto* compiled = const_cast<Compiled*>(
-      compiled_.load(std::memory_order_acquire));
-  if (compiled == nullptr) return false;
-  auto* table = const_cast<Compiled::TypeTable*>(compiled->TableFor(type));
-  if (table == nullptr) return false;
-  auto it = table->specs.find(id);
-  if (it == table->specs.end()) return false;
-  // Swap the spec WITHOUT re-deriving the cells it once produced — the
-  // published matrix now disagrees with the published footprints, which is
-  // exactly the defect the derivation-agreement check must catch.
-  it->second = spec;
   return true;
 }
 

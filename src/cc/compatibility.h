@@ -12,10 +12,13 @@
 // entries into an immutable snapshot of dense per-type tables indexed by
 // interned MethodId pairs (cc/method_interner.h). The id-based Commute()
 // overload — the one the lock manager's conflict test calls — is an atomic
-// snapshot-pointer load plus two indexed loads for static entries; only
-// predicate entries and the string-keyed legacy overload ever take a lock.
-// Old snapshots are kept alive until the registry dies, so readers never
-// synchronize with writers.
+// snapshot-pointer load plus two indexed loads for static entries; a
+// predicate cell adds a lookup in the snapshot's predicate map, still with
+// no lock. Only the string-keyed overload can take a mutex: the interner's,
+// for a name it has not seen. Pairs with no cell (every pair of a set type)
+// fall through to the generic set rules (GenericCommute). Old snapshots are
+// kept alive until the registry dies, so readers never synchronize with
+// writers.
 #ifndef SEMCC_CC_COMPATIBILITY_H_
 #define SEMCC_CC_COMPATIBILITY_H_
 
@@ -50,50 +53,6 @@ inline constexpr const char* kMember = "Member";   // args: [key]
 inline constexpr const char* kRangeScan = "RangeScan";  // args: [lo, hi]
 }  // namespace generic_ops
 
-/// \brief Where a method's key footprint lives in its argument list.
-///
-/// One footprint describes the set of member keys a method may read or
-/// write inside its object, as a function of the actual arguments: nothing,
-/// one point key, a closed range, or every key.
-struct KeyRef {
-  enum class Kind : uint8_t {
-    kNone = 0,   ///< no keyed access
-    kPoint = 1,  ///< exactly the key in args[arg_a]
-    kRange = 2,  ///< the closed range [args[arg_a], args[arg_b]]
-    kAll = 3,    ///< every key (whole-set scan)
-  };
-  Kind kind = Kind::kNone;
-  uint8_t arg_a = 0;  ///< argument index of the point / range-low key
-  uint8_t arg_b = 0;  ///< argument index of the range-high key (kRange)
-
-  static KeyRef None() { return {}; }
-  static KeyRef Point(uint8_t arg) { return {Kind::kPoint, arg, 0}; }
-  static KeyRef Range(uint8_t lo_arg, uint8_t hi_arg) {
-    return {Kind::kRange, lo_arg, hi_arg};
-  }
-  static KeyRef All() { return {Kind::kAll, 0, 0}; }
-};
-
-/// \brief Declarative pre/postcondition footprint of one method over the
-/// keyed members of a set-like object: which keys it reads, which it
-/// writes, and how it interacts with the membership count.
-///
-/// A spec is complete: everything the method depends on or changes inside
-/// the object is captured. For a pair of specs the commutativity verdict
-/// (static cell or key-overlap predicate) is therefore *computed* from the
-/// two footprints instead of hand-written (CompatibilityRegistry::
-/// DefineMethodSpec), and tools/matrix_verify re-derives every such cell to
-/// prove the published tables agree with the algebra (DESIGN.md §5.8).
-struct MethodSpec {
-  KeyRef reads;
-  KeyRef writes;
-  /// The method's result depends on the membership count (e.g. Size);
-  /// conflicts with any size_delta != 0 method regardless of keys.
-  bool observes_size = false;
-  /// Net membership-count change (+1 insert, -1 remove, 0 otherwise).
-  int size_delta = 0;
-};
-
 /// \brief Per-type compatibility specification.
 ///
 /// Unknown pairs **conflict** — the safe default; it also makes transaction
@@ -118,46 +77,6 @@ class CompatibilityRegistry {
 
   /// Declare a method name so it shows up in MethodsOf() / matrix printing.
   void DeclareMethod(TypeId type, const std::string& method);
-
-  /// Register the declarative footprint of (type, method) and — for every
-  /// pair of specs of this type that has no hand-written entry yet — derive
-  /// and install the matrix cell from the two footprints: a static
-  /// commute/conflict cell when the verdict is argument-independent, a
-  /// key-overlap predicate (SpecsCommute over the actual arguments)
-  /// otherwise. Also declares the method.
-  void DefineMethodSpec(TypeId type, const std::string& method,
-                        const MethodSpec& spec);
-
-  /// The spec of (type, m) from the compiled snapshot, falling back to the
-  /// built-in generic-operation specs; nullopt if neither exists.
-  std::optional<MethodSpec> MethodSpecOf(TypeId type, MethodId m) const;
-
-  /// Built-in footprints of the generic set operations (Insert, Remove,
-  /// Select, Member, RangeScan, Scan, Size). nullopt for Get/Put (atomic
-  /// objects have no key space) and for non-generic ids.
-  static std::optional<MethodSpec> GenericMethodSpec(MethodId m);
-
-  // --- derivation algebra (static; also used by cc/matrix_verifier to
-  // re-derive and cross-check every published cell) ------------------------
-
-  enum class DerivedCell : uint8_t { kCompatible, kConflict, kPredicate };
-
-  /// The cell the two footprints imply: conflict if any write footprint
-  /// always overlaps the other's read/write footprint or the pair is
-  /// size-coupled (one observes the count the other changes); predicate if
-  /// some overlap depends on the actual arguments; compatible otherwise.
-  static DerivedCell DeriveCell(const MethodSpec& s1, const MethodSpec& s2);
-
-  /// Runtime evaluation of a derived predicate cell: the invocations
-  /// commute iff no (write, write/read) footprint pair overlaps under the
-  /// actual arguments and the pair is not size-coupled. A footprint whose
-  /// argument is missing is assumed to overlap everything (safe default,
-  /// mirroring the generic rules' empty-args clash).
-  static bool SpecsCommute(const MethodSpec& s1, const Args& a1,
-                           const MethodSpec& s2, const Args& a2);
-
-  /// Methods of `type` with a registered spec, in name order.
-  std::vector<std::string> SpecMethodsOf(TypeId type) const;
 
   /// Do invocations (m1, a1) and (m2, a2) on the same object of `type`
   /// commute? Hot path: dense compiled tables over interned ids; static
@@ -220,13 +139,6 @@ class CompatibilityRegistry {
   bool TestOnlyCorruptCell(TypeId type, const std::string& m1,
                            const std::string& m2, CellKind cell);
 
-  /// Overwrite the published snapshot's spec for (type, method) WITHOUT
-  /// recompiling or re-deriving — seeds a spec/matrix disagreement for the
-  /// verifier's derivation-agreement mutation tests. Returns false if the
-  /// method has no compiled spec.
-  bool TestOnlyCorruptSpec(TypeId type, const std::string& method,
-                           const MethodSpec& spec);
-
   /// For matrix printing: the static entry, or nullopt if the pair is
   /// predicate-based or unregistered.
   std::optional<bool> StaticEntry(TypeId type, const std::string& m1,
@@ -268,9 +180,6 @@ class CompatibilityRegistry {
       /// Directional predicate refs keyed by (m1, m2) ids; consulted only
       /// when the cell says kPredicate.
       std::map<std::pair<MethodId, MethodId>, PredRef> preds;
-      /// Registered method specs by id (MethodSpecOf); the generic-op
-      /// fallback is layered on in MethodSpecOf, not stored.
-      std::map<MethodId, MethodSpec> specs;
 
       Cell CellAt(MethodId m1, MethodId m2) const {
         if (m1 >= dim || m2 >= dim) return kUnknown;
@@ -278,19 +187,13 @@ class CompatibilityRegistry {
       }
     };
     std::vector<TypeTable> dense_types;
-    /// Types whose id exceeded the dense bound (never in practice; schema
-    /// ids are sequential and small).
-    std::map<TypeId, TypeTable> overflow_types;
 
     const TypeTable* TableFor(TypeId type) const {
-      if (type < dense_types.size()) return &dense_types[type];
-      if (overflow_types.empty()) return nullptr;
-      auto it = overflow_types.find(type);
-      return it == overflow_types.end() ? nullptr : &it->second;
+      return type < dense_types.size() ? &dense_types[type] : nullptr;
     }
   };
 
-  /// Largest TypeId stored in the dense vector (inclusive).
+  /// Largest TypeId a registry accepts (Schema hands out sequential ids).
   static constexpr TypeId kMaxDenseTypeId = 4095;
 
   const Entry* FindEntry(TypeId type, const std::string& m1,
@@ -303,10 +206,6 @@ class CompatibilityRegistry {
   mutable SharedMutex mu_;
   std::map<TypeId, std::map<PairKey, Entry>> table_ SEMCC_GUARDED_BY(mu_);
   std::map<TypeId, std::vector<std::string>> methods_ SEMCC_GUARDED_BY(mu_);
-  /// Registered method specs (DefineMethodSpec), by type and method name;
-  /// compiled into each snapshot's TypeTable::specs at Recompile time.
-  std::map<TypeId, std::map<std::string, MethodSpec>> specs_
-      SEMCC_GUARDED_BY(mu_);
 
   /// Published snapshot; old versions stay alive in snapshots_ so readers
   /// can keep dereferencing a stale pointer without coordination.

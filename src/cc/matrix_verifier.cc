@@ -1,6 +1,7 @@
 #include "cc/matrix_verifier.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -23,42 +24,6 @@ const char* CellKindName(CellKind k) {
       return "conflict";
     case CellKind::kCellPredicate:
       return "predicate";
-  }
-  return "?";
-}
-
-CellKind DerivedKind(CompatibilityRegistry::DerivedCell d) {
-  switch (d) {
-    case CompatibilityRegistry::DerivedCell::kCompatible:
-      return CellKind::kCellCompatible;
-    case CompatibilityRegistry::DerivedCell::kConflict:
-      return CellKind::kCellConflict;
-    case CompatibilityRegistry::DerivedCell::kPredicate:
-      return CellKind::kCellPredicate;
-  }
-  return CellKind::kCellUnknown;
-}
-
-bool SameKeyRef(const KeyRef& a, const KeyRef& b) {
-  return a.kind == b.kind && a.arg_a == b.arg_a && a.arg_b == b.arg_b;
-}
-
-bool SameFootprint(const MethodSpec& a, const MethodSpec& b) {
-  return SameKeyRef(a.reads, b.reads) && SameKeyRef(a.writes, b.writes) &&
-         a.observes_size == b.observes_size && a.size_delta == b.size_delta;
-}
-
-std::string KeyRefStr(const KeyRef& k) {
-  switch (k.kind) {
-    case KeyRef::Kind::kNone:
-      return "none";
-    case KeyRef::Kind::kPoint:
-      return "point(arg" + std::to_string(k.arg_a) + ")";
-    case KeyRef::Kind::kRange:
-      return "range(arg" + std::to_string(k.arg_a) + ",arg" +
-             std::to_string(k.arg_b) + ")";
-    case KeyRef::Kind::kAll:
-      return "all";
   }
   return "?";
 }
@@ -222,43 +187,10 @@ void MatrixVerifier::VerifyStructural(TypeId type,
       }
     }
   }
-
-  // --- spec-derivation: footprints <-> published cells (§5.8) -------------
-  // For every pair of specs the published cell must equal what the
-  // derivation algebra computes from the two footprints — whether the cell
-  // was derived by DefineMethodSpec or hand-written. A disagreement means
-  // the matrix and the algebra tell the lock manager two different stories
-  // about the same pair (e.g. a spec edited after its cells were compiled).
-  const std::vector<std::string> spec_methods =
-      compat_->SpecMethodsOf(type);
-  for (size_t i = 0; i < spec_methods.size(); ++i) {
-    for (size_t j = i; j < spec_methods.size(); ++j) {
-      const MethodId a = interner.Lookup(spec_methods[i]);
-      const MethodId b = interner.Lookup(spec_methods[j]);
-      if (a == kInvalidMethodId || b == kInvalidMethodId) continue;
-      const auto s1 = compat_->MethodSpecOf(type, a);
-      const auto s2 = compat_->MethodSpecOf(type, b);
-      if (!s1.has_value() || !s2.has_value()) continue;
-      const CellKind want =
-          DerivedKind(CompatibilityRegistry::DeriveCell(*s1, *s2));
-      const CellKind got = compat_->CompiledCell(type, a, b);
-      ++report->cells_checked;
-      if (got != want) {
-        report->diagnostics.push_back(
-            {"spec-derivation", type,
-             "footprints of (" + spec_methods[i] + ", " +
-                 spec_methods[j] + ") derive " + CellKindName(want) +
-                 " but the published cell is " + CellKindName(got) +
-                 " — the table diverged from the footprint algebra "
-                 "(DESIGN.md §5.8)"});
-      }
-    }
-  }
 }
 
 void MatrixVerifier::VerifyBehavioral(TypeId type,
                                       MatrixVerifyReport* report) const {
-  MethodInterner& interner = MethodInterner::Global();
   const std::vector<std::string> universe = MethodUniverse(type);
 
   // --- predicate symmetry + determinism over the samples ------------------
@@ -286,69 +218,6 @@ void MatrixVerifier::VerifyBehavioral(TypeId type,
                  m1 + ArgsToString(a) + " vs " + m2 + ArgsToString(b) +
                      " changed verdict on re-evaluation — predicates must "
                      "be pure functions of the argument lists"});
-          }
-        }
-      }
-    }
-  }
-
-  // --- spec-derivation / spec-vs-generic (behavioral) ----------------------
-  // Each derived *predicate* cell must track the footprint algebra's
-  // runtime evaluator over the samples; and where the specs are exactly
-  // the built-in generic-op footprints, the derived verdicts must
-  // reproduce the hand-coded §2.2 generic key rules they replace.
-  const std::vector<std::string> spec_methods =
-      compat_->SpecMethodsOf(type);
-  for (size_t i = 0; i < spec_methods.size(); ++i) {
-    for (size_t j = i; j < spec_methods.size(); ++j) {
-      const std::string& m1 = spec_methods[i];
-      const std::string& m2 = spec_methods[j];
-      const MethodId a = interner.Lookup(m1);
-      const MethodId b = interner.Lookup(m2);
-      if (a == kInvalidMethodId || b == kInvalidMethodId) continue;
-      const auto s1 = compat_->MethodSpecOf(type, a);
-      const auto s2 = compat_->MethodSpecOf(type, b);
-      if (!s1.has_value() || !s2.has_value()) continue;
-      const bool is_pred =
-          compat_->CompiledCell(type, a, b) == CellKind::kCellPredicate;
-      const auto g1 = CompatibilityRegistry::GenericMethodSpec(a);
-      const auto g2 = CompatibilityRegistry::GenericMethodSpec(b);
-      const bool generic_footprints = g1.has_value() && g2.has_value() &&
-                                      SameFootprint(*s1, *g1) &&
-                                      SameFootprint(*s2, *g2);
-      for (const Args& x : samples_) {
-        for (const Args& y : samples_) {
-          const bool published = compat_->Commute(type, a, x, b, y);
-          if (is_pred) {
-            const bool derived =
-                CompatibilityRegistry::SpecsCommute(*s1, x, *s2, y);
-            ++report->verdicts_sampled;
-            if (published != derived) {
-              report->diagnostics.push_back(
-                  {"spec-derivation", type,
-                   m1 + ArgsToString(x) + " vs " + m2 + ArgsToString(y) +
-                       ": published predicate says " +
-                       (published ? "commute" : "conflict") +
-                       " but the footprint algebra derives " +
-                       (derived ? "commute" : "conflict")});
-            }
-          }
-          if (generic_footprints) {
-            const auto generic =
-                CompatibilityRegistry::GenericCommute(a, x, b, y);
-            if (!generic.has_value()) continue;
-            ++report->verdicts_sampled;
-            if (published != *generic) {
-              report->diagnostics.push_back(
-                  {"spec-vs-generic", type,
-                   m1 + ArgsToString(x) + " vs " + m2 + ArgsToString(y) +
-                       ": derived verdict " +
-                       (published ? "commute" : "conflict") +
-                       " but the built-in generic key rule says " +
-                       (*generic ? "commute" : "conflict") +
-                       " — derivation from the generic footprints must "
-                       "reproduce the §2.2 generic rules"});
-            }
           }
         }
       }
@@ -384,6 +253,14 @@ std::string MatrixVerifier::DumpTable(
     os << "s" << i << "=" << ArgsToString(samples_[i]);
   }
   os << "\n";
+  // One character per ordered sample pair: 1 commute, 0 conflict.
+  auto sample_bits = [this](const auto& commute) {
+    std::string bits;
+    for (const Args& x : samples_) {
+      for (const Args& y : samples_) bits += commute(x, y) ? '1' : '0';
+    }
+    return bits;
+  };
   for (TypeId type : compat_->RegisteredTypes()) {
     os << "type " << type;
     if (type_names != nullptr) {
@@ -392,19 +269,7 @@ std::string MatrixVerifier::DumpTable(
     }
     os << "\n";
     const std::vector<std::string> universe = MethodUniverse(type);
-    const std::vector<std::string> spec_names = compat_->SpecMethodsOf(type);
-    const std::set<std::string> has_spec(spec_names.begin(), spec_names.end());
-    for (const std::string& m : universe) {
-      const MethodId id = interner.Lookup(m);
-      os << "  method " << m << "\n";
-      if (id == kInvalidMethodId || has_spec.count(m) == 0) continue;
-      if (auto spec = compat_->MethodSpecOf(type, id); spec.has_value()) {
-        os << "  spec " << m << " reads=" << KeyRefStr(spec->reads)
-           << " writes=" << KeyRefStr(spec->writes)
-           << " observes_size=" << (spec->observes_size ? "yes" : "no")
-           << " size_delta=" << spec->size_delta << "\n";
-      }
-    }
+    for (const std::string& m : universe) os << "  method " << m << "\n";
     for (size_t i = 0; i < universe.size(); ++i) {
       for (size_t j = i; j < universe.size(); ++j) {
         const std::string& m1 = universe[i];
@@ -414,20 +279,42 @@ std::string MatrixVerifier::DumpTable(
             entry.has_value()) {
           os << (*entry ? "commute" : "conflict");
         } else if (compat_->HasPredicate(type, m1, m2)) {
-          os << "pred{";
-          for (size_t x = 0; x < samples_.size(); ++x) {
-            for (size_t y = 0; y < samples_.size(); ++y) {
-              os << (compat_->Commute(type, m1, samples_[x], m2, samples_[y])
-                         ? "1"
-                         : "0");
-            }
-          }
-          os << "}";
+          os << "pred{" << sample_bits([&](const Args& x, const Args& y) {
+            return compat_->Commute(type, m1, x, m2, y);
+          }) << "}";
         } else {
           os << "unregistered";
         }
         os << "\n";
       }
+    }
+  }
+  // Set types register no cells: every set operation reaches
+  // GenericCommute through the kUnknown cell, so its verdicts are listed
+  // once, for all set types.
+  using namespace generic_ids;
+  const MethodId set_ops[] = {kInsert, kRemove, kSelect, kMember,
+                              kRangeScan, kScan, kSize};
+  os << "generic set operations\n";
+  for (MethodId m : set_ops) os << "  method " << interner.NameOf(m) << "\n";
+  for (size_t i = 0; i < std::size(set_ops); ++i) {
+    for (size_t j = i; j < std::size(set_ops); ++j) {
+      const MethodId a = set_ops[i];
+      const MethodId b = set_ops[j];
+      const std::string bits = sample_bits([&](const Args& x, const Args& y) {
+        return CompatibilityRegistry::GenericCommute(a, x, b, y)
+            .value_or(false);
+      });
+      os << "  cell " << interner.NameOf(a) << " x " << interner.NameOf(b)
+         << " = ";
+      if (bits.find('0') == std::string::npos) {
+        os << "commute";
+      } else if (bits.find('1') == std::string::npos) {
+        os << "conflict";
+      } else {
+        os << "pred{" << bits << "}";
+      }
+      os << "\n";
     }
   }
   return os.str();

@@ -13,7 +13,7 @@
 //
 // Two consumers: tools/matrix_verify (a ctest over the real registry) and
 // tests/matrix_verify_test.cc (mutation tests seeding each defect class via
-// the registry's TestOnlyCorrupt* hooks and asserting pointed rejection).
+// the registry's TestOnlyCorruptCell hook and asserting pointed rejection).
 #ifndef SEMCC_CC_MATRIX_VERIFIER_H_
 #define SEMCC_CC_MATRIX_VERIFIER_H_
 
@@ -64,14 +64,11 @@ struct MatrixVerifyReport {
 ///  - "matrix-totality": every pair over a type's declared/registered
 ///    methods has a registered verdict (the retained-lock closure property:
 ///    parent-level cells may not silently degrade to the conflict default).
-///  - "spec-derivation": for every pair of method specs
-///    (DefineMethodSpec), the published cell must equal what the footprint
-///    algebra (DeriveCell) computes from the two specs — regardless of
-///    whether the cell was derived or hand-written — and each such
-///    predicate cell must agree with SpecsCommute on every sample pair.
-///  - "spec-vs-generic": where the specs are exactly the built-in
-///    generic-op footprints, the derived verdicts must reproduce the
-///    hand-coded generic key rules (GenericCommute) on every sample pair.
+///
+/// Every family checks what the lock manager reads: the compiled cells and
+/// the predicates behind them. Set types register no cells; their
+/// operations take the built-in generic rules (GenericCommute), which the
+/// dump lists once in its closing "generic set operations" section.
 class MatrixVerifier {
  public:
   explicit MatrixVerifier(const CompatibilityRegistry* compat);
@@ -79,10 +76,13 @@ class MatrixVerifier {
   /// Run every check over every registered type.
   MatrixVerifyReport Verify() const;
 
-  /// Exhaustive verdict table over every registered type, deterministic and
-  /// diff-friendly — committed as a golden file and compared by a ctest so
-  /// a matrix edit cannot land without the reviewed table changing with it.
-  /// `type_names` (optional) maps TypeId to schema names for readability.
+  /// Exhaustive verdict table over every registered type, then over the
+  /// generic set operations; deterministic and diff-friendly — committed as
+  /// a golden file and compared by a ctest so a matrix edit cannot land
+  /// without the reviewed table changing with it. A generic cell prints
+  /// commute/conflict when its verdict is the same for every sample pair,
+  /// pred{...} otherwise. `type_names` (optional) maps TypeId to schema
+  /// names for readability.
   std::string DumpTable(
       const std::map<TypeId, std::string>* type_names = nullptr) const;
 

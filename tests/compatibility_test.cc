@@ -102,6 +102,31 @@ TEST(GenericCommute, MembershipSensitiveReadsConflictWithUpdates) {
   EXPECT_FALSE(reg.Commute(9, kSize, {}, kRemove, {Value(1)}));
 }
 
+TEST(GenericCommute, SymmetricOverEveryPair) {
+  // Every set type takes these rules with no registered cell, so the
+  // verdict may not depend on which invocation holds the lock.
+  const std::vector<Args> samples = {
+      {},
+      {Value(1)},
+      {Value(2)},
+      {Value("k")},
+      {Value(1), Value(2)},
+      {Value(2), Value(5)},  // a (lo, hi) range holding key 2, not key 1
+      {Value(1), Value(2), Value(3)},
+  };
+  for (MethodId a = 0; a < generic_ids::kNumGenericOps; ++a) {
+    for (MethodId b = 0; b < generic_ids::kNumGenericOps; ++b) {
+      for (const Args& x : samples) {
+        for (const Args& y : samples) {
+          EXPECT_EQ(CompatibilityRegistry::GenericCommute(a, x, b, y),
+                    CompatibilityRegistry::GenericCommute(b, y, a, x))
+              << a << ArgsToString(x) << " vs " << b << ArgsToString(y);
+        }
+      }
+    }
+  }
+}
+
 TEST(GenericCommute, PerTypeOverrideWins) {
   CompatibilityRegistry reg;
   // An explicit per-type entry overrides the generic rule.

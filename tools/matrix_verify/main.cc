@@ -1,20 +1,16 @@
 // matrix_verify: build-time verification of the commutativity matrices.
 //
 // Installs the full application registry (the paper's order-entry schema
-// with the parameter-refined Fig. 2/3 predicates, plus the standard ADTs —
-// which register generic-op footprints for their keyed sets, so the derived
-// Orders/QueueEntries cells are covered) into a scratch in-memory database
-// and runs cc/matrix_verifier.h over it: cell symmetry, registration/dense
-// agreement, predicate symmetry + determinism, matrix totality (the
-// retained-lock closure property the ancestor-commutativity walk relies
-// on), and spec-derivation agreement (every cell between two footprints
-// must re-derive to itself, derived predicates must track SpecsCommute, and
-// derivation from the generic footprints must reproduce the built-in
-// generic key rules).
+// with the parameter-refined Fig. 2/3 predicates, plus the standard ADTs)
+// into a scratch in-memory database and runs cc/matrix_verifier.h over it:
+// cell symmetry, registration/dense agreement, predicate symmetry +
+// determinism, and matrix totality (the retained-lock closure property the
+// ancestor-commutativity walk relies on).
 //
-// The golden table (tests/golden/compat_matrix.txt) now also lists each
-// registered footprint as a `spec` line, so spec edits — like matrix edits
-// — cannot land without the reviewed table changing. Regenerate with:
+// The golden table (tests/golden/compat_matrix.txt) lists every registered
+// cell per type and ends with the verdicts of the generic set operations,
+// which the set types (Orders, QueueEntries) take instead of registered
+// cells. Regenerate with:
 //   build/tools/matrix_verify/matrix_verify --dump > tests/golden/compat_matrix.txt
 //
 // Runs as a ctest (see tools/matrix_verify/CMakeLists.txt) and as the CI
